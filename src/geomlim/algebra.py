@@ -58,6 +58,8 @@ class AlgScalar:
         return None
 
     def __eq__(self, other):
+        if isinstance(other, AlgScalar) and other.delta != self.delta:
+            return False
         other = self._coerce(other)
         if other is None:
             return NotImplemented

@@ -7,7 +7,7 @@ block; canonically the first index of every block is +)."""
 import itertools
 from math import comb
 
-from .limits import OrderedPartition, flag_signature
+from .limits import OrderedPartition, _split_one_block, flag_signature
 
 
 class Cell:
@@ -85,17 +85,17 @@ def closure_cell_counts(n):
     return table[n]
 
 
-def _ordered_set_partitions(items):
-    items = list(items)
-    if not items:
-        yield []
-        return
-    n = len(items)
-    for k in range(1, n + 1):
-        for first in itertools.combinations(items, k):
-            rest = [x for x in items if x not in first]
-            for tail in _ordered_set_partitions(rest):
-                yield [tuple(first)] + tail
+def _split_block(block):
+    for k in range(1, len(block)):
+        for left in itertools.combinations(block, k):
+            yield left, tuple(i for i in block if i not in left)
+
+
+def _ordered_set_partitions(block):
+    for left, rest in _split_block(block):
+        for tail in _ordered_set_partitions(rest):
+            yield [left] + tail
+    yield [block]
 
 
 def enumerate_cells(n):
@@ -103,7 +103,7 @@ def enumerate_cells(n):
     if n < 2:
         raise ValueError("need n >= 2")
     cells = []
-    for blocks in _ordered_set_partitions(range(n)):
+    for blocks in _ordered_set_partitions(tuple(range(n))):
         free = [i for b in blocks for i in b[1:]]
         for signs in itertools.product((1, -1), repeat=len(free)):
             assign = {i: 1 for b in blocks for i in b}
@@ -146,9 +146,20 @@ def euler_characteristic(n):
     return sum((-1) ** d * c for d, c in enumerate(counts))
 
 
-def boundary_cells(cell, cells=None):
-    """All proper degenerations of the given cell."""
-    if cells is None:
-        cells = enumerate_cells(cell.n)
-    return [c for c in cells
-            if c != cell and degeneration_relation(cell, c)]
+def faces(cell):
+    """Yield the codimension-one faces of a cell: one block is split into
+    a nonempty proper subset followed by the rest, and the sign class is
+    restricted to the new blocks.  Blocks are taken in order, subsets in
+    itertools.combinations order."""
+    for blocks in _split_one_block(cell.blocks, _split_block):
+        yield Cell(blocks, cell.signs)
+
+
+def boundary_cells(cell):
+    """All proper degenerations of the given cell: the faces, their faces
+    and so on, by decreasing dimension."""
+    found, level = [], [cell]
+    while level:
+        level = list(dict.fromkeys(f for c in level for f in faces(c)))
+        found += level
+    return found

@@ -17,7 +17,7 @@ from . import algebra, cells, heisenberg, limits, regeneration
 
 _TERM = re.compile(
     r"^\s*(?:(?P<coeff>[+-]?\d+(?:\.\d+)?)\s*\*?\s*)?"
-    r"(?:t(?:\^(?P<exp>[+-]?\d+(?:/\d+)?))?)?\s*$")
+    r"(?:t(?:\^(?P<exp>[+-]?\d+(?:/\d*[1-9]\d*)?))?)?\s*$")
 
 
 class InvalidInput(ValueError):
@@ -84,7 +84,11 @@ def cmd_limit(args):
     else:
         if not args.form:
             raise InvalidInput("need --form (with optional --conj) or --path")
-        J = [float(v) for v in args.form.split(",")]
+        try:
+            J = [float(v) for v in args.form.split(",")]
+        except ValueError:
+            raise InvalidInput(
+                "cannot parse form {!r}".format(args.form)) from None
         if any(v == 0 for v in J):
             raise InvalidInput("form entries must be nonzero")
         if args.conj:
@@ -120,6 +124,8 @@ def _sig_label(F):
 
 
 def cmd_poset(args):
+    if args.p < 1 or args.q < 0:
+        raise InvalidInput("need p >= 1 and q >= 0")
     nodes, edges = limits.limit_poset(args.p, args.q)
     index = {F: i for i, F in enumerate(nodes)}
     if args.format == "dot":
@@ -151,10 +157,10 @@ def cmd_cells(args):
         for i, c in enumerate(all_cells):
             buf.write('  c{} [label="{} d{}"];\n'.format(
                 i, c.blocks, c.dim))
-        for i, a in enumerate(all_cells):
-            for j, b in enumerate(all_cells):
-                if a.dim == b.dim + 1 and cells.degeneration_relation(a, b):
-                    buf.write("  c{} -> c{};\n".format(i, j))
+        index = {c: i for i, c in enumerate(all_cells)}
+        for i, c in enumerate(all_cells):
+            for j in sorted(index[f] for f in cells.faces(c)):
+                buf.write("  c{} -> c{};\n".format(i, j))
         buf.write("}\n")
         _emit(buf.getvalue(), args.out)
         return 0
@@ -341,7 +347,6 @@ def build_parser():
         p.add_argument("--out", default=None)
         p.add_argument("--format", default=None,
                        choices=["json", "csv", "dot", "svg"])
-        p.add_argument("--tol", type=float, default=None)
 
     p = sub.add_parser("limit")
     common(p)

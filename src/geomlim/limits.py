@@ -403,99 +403,56 @@ def is_limit_of(F, p, q):
     if F.n != p + q:
         raise DimensionMismatch("signature size {} vs form size {}".format(
             F.n, p + q))
-    p0, q0 = F.first
+    p0, _ = F.first
     if p0 < 1:
         return False
-    rest = F.rest
-    for swaps in itertools.product((False, True), repeat=len(rest)):
-        sp, sq = p0, q0
-        for (a, b), s in zip(rest, swaps):
-            if s:
-                a, b = b, a
-            sp += a
-            sq += b
-        if (sp, sq) == (p, q):
-            return True
-    return False
+    # positive totals over all orientations of the later blocks; F.n fixes q
+    sums = {p0}
+    for a, b in F.rest:
+        sums = {s + a for s in sums} | {s + b for s in sums}
+    return p in sums
+
+
+def _split_one_block(blocks, splits):
+    """Yield every block list made by replacing one block with the two
+    consecutive blocks (left, right), for each pair splits(block) yields,
+    block by block in order."""
+    for i, block in enumerate(blocks):
+        for left, right in splits(block):
+            yield [*blocks[:i], left, right, *blocks[i + 1:]]
+
+
+def _split_pair(pair):
+    p, q = pair
+    for a in range(p + 1):
+        for b in range(q + 1):
+            if 0 < a + b < p + q:
+                yield (a, b), (p - a, q - b)
 
 
 def _split_signatures(F):
     """All signatures obtained by splitting one block of F into two
     consecutive nonempty sub-blocks (swaps permitted on non-initial
     pieces via the FlagSignature normalization)."""
-    out = []
-    pairs = F.pairs
-    for i, (p, q) in enumerate(pairs):
-        for a in range(p + 1):
-            for b in range(q + 1):
-                if a + b == 0 or (a, b) == (p, q):
-                    continue
-                left = (a, b)
-                right = (p - a, q - b)
-                new = pairs[:i] + [left, right] + pairs[i + 1:]
-                out.append(FlagSignature(new))
-    return out
+    return [FlagSignature(pairs)
+            for pairs in _split_one_block(F.pairs, _split_pair)]
 
 
 def limit_poset(p, q):
-    """Nodes and (transitively reduced) edges of the degeneration poset of
-    limits of the (p, q) orthogonal group, by block refinement."""
+    """Nodes and edges of the degeneration poset of limits of the (p, q)
+    orthogonal group, level by level from [(p, q)].  An edge splits one
+    block into two, so it adds exactly one block and is a cover.  Every
+    limit signature is reached: merging its last two blocks (oriented as
+    its swaps are) gives a limit signature one level up."""
     if p < 1:
         raise ValueError("need p >= 1")
-    n = p + q
     root = FlagSignature([(p, q)])
-    nodes = {root}
-
-    def compositions(total):
-        if total == 0:
-            yield []
-            return
-        for head in range(1, total + 1):
-            for tail in compositions(total - head):
-                yield [head] + tail
-
-    for sizes in compositions(n):
-        if len(sizes) == 1:
-            continue
-        choices = [range(s + 1) for s in sizes]
-        for ps in itertools.product(*choices):
-            pairs = [(a, s - a) for a, s in zip(ps, sizes)]
-            F = FlagSignature(pairs)
-            if is_limit_of(F, p, q):
-                nodes.add(F)
-
-    edges = set()
-    for F in nodes:
-        for G in _split_signatures(F):
-            if G in nodes and G != F:
-                edges.add((F, G))
-
-    # transitive reduction
-    succ = {}
-    for a, b in edges:
-        succ.setdefault(a, set()).add(b)
-
-    def reachable(a, b):
-        stack = list(succ.get(a, ()))
-        seen = set()
-        while stack:
-            x = stack.pop()
-            if x == b:
-                return True
-            if x in seen:
-                continue
-            seen.add(x)
-            stack.extend(succ.get(x, ()))
-        return False
-
-    reduced = set()
-    for a, b in edges:
-        indirect = False
-        for c in succ.get(a, ()):
-            if c != b and reachable(c, b):
-                indirect = True
-                break
-        if not indirect:
-            reduced.add((a, b))
+    level, edges = {root}, set()
+    while level:
+        new = {(F, G) for F in level for G in _split_signatures(F)
+               if is_limit_of(G, p, q)}
+        edges |= new
+        level = {G for _, G in new}
+    nodes = {root} | {G for _, G in edges}
     return sorted(nodes, key=lambda f: (len(f.pairs), f.pairs)), sorted(
-        reduced, key=lambda e: (len(e[0].pairs), e[0].pairs, e[1].pairs))
+        edges, key=lambda e: (len(e[0].pairs), e[0].pairs, e[1].pairs))

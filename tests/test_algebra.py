@@ -38,6 +38,12 @@ def test_known_products():
 def test_delta_mismatch():
     with pytest.raises(alg.DeltaMismatch):
         alg.mul(scal(1, 0, -1), scal(1, 0, 1))
+    with pytest.raises(alg.DeltaMismatch):
+        scal(1, 0, -1) + scal(1, 0, 1)
+    # comparison across algebras is defined: the elements differ
+    assert not scal(1, 0, -1) == scal(1, 0, 1)
+    assert scal(1, 0, -1) != scal(1, 0, 1)
+    assert scal(1, 0, -1) == scal(1, 0, -1)
 
 
 @given(reals, reals, reals, reals, reals, reals, deltas)

@@ -92,3 +92,22 @@ def test_boundary_sizes():
     bd = cells.boundary_cells(top)
     assert len(bd) == 12
     assert Counter(c.dim for c in bd) == Counter({1: 6, 0: 6})
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_faces_match_degeneration_relation(n):
+    all_cells = cells.enumerate_cells(n)
+    for c in all_cells:
+        got = list(cells.faces(c))
+        assert len(got) == len(set(got))
+        assert set(got) == {b for b in all_cells if b.dim == c.dim - 1
+                            and cells.degeneration_relation(c, b)}
+
+
+def test_boundary_cells_match_degeneration_relation():
+    all3 = cells.enumerate_cells(3)
+    for c in all3:
+        got = cells.boundary_cells(c)
+        assert len(got) == len(set(got))
+        assert set(got) == {b for b in all3
+                            if b != c and cells.degeneration_relation(c, b)}

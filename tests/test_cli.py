@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -56,6 +57,18 @@ def test_limit_command(capsys):
 
 def test_limit_command_invalid(capsys):
     code, _, err = run(capsys, "limit", "--form", "1,0,1")
+    assert code == 2
+    assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["poset", "0", "3"],
+    ["poset", "1", "-1"],
+    ["limit", "--form", "1,a,1"],
+    ["limit", "--form", "1,1,1", "--conj", "t^1/0,t,1"],
+])
+def test_invalid_input_exits_2(capsys, argv):
+    code, _, err = run(capsys, *argv)
     assert code == 2
     assert "error" in json.loads(err)
 
@@ -147,3 +160,19 @@ def test_out_flag(capsys, tmp_path):
     code, out, _ = run(capsys, "cells", "3", "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["counts"] == [6, 12, 4]
+
+
+# SHA-256 of stdout, recorded before faces and limit_poset were rebuilt
+# from single-block splits; the output must not change.
+@pytest.mark.parametrize("argv, digest", [
+    (["cells", "4", "--poset"],
+     "a7f33bc59730a6c469438145e7ddc8afc1c3c6781e4289c564d3d60c9fcf37f8"),
+    (["poset", "3", "3"],
+     "46bb4a27e6b12521d0631874e9e969802fb9c6be812e2bfaf23123e72cd1edee"),
+    (["poset", "3", "3", "--format", "dot"],
+     "4c87b788e7e8c1bd6f87a0cf9c78118d2b9e80c93a112672db632214ee3a1032"),
+])
+def test_combinatorics_output_unchanged(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -180,5 +181,49 @@ def test_limit_poset_small():
     assert len(edges) == 1
     # edges always go from coarser to strictly finer signatures
     nodes, edges = lim.limit_poset(1, 2)
+    for a, b in edges:
+        assert len(b.pairs) == len(a.pairs) + 1
+
+
+def _compositions(total):
+    if total == 0:
+        yield []
+        return
+    for head in range(1, total + 1):
+        for tail in _compositions(total - head):
+            yield [head] + tail
+
+
+def _swap_search(F, p, q):
+    """is_limit_of by trying every orientation of the later blocks."""
+    if F.first[0] < 1:
+        return False
+    for swaps in itertools.product((False, True), repeat=len(F.rest)):
+        sp, sq = F.first
+        for (a, b), s in zip(F.rest, swaps):
+            sp, sq = (sp + b, sq + a) if s else (sp + a, sq + b)
+        if (sp, sq) == (p, q):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("p, q", [(p, n - p) for n in range(1, 7)
+                                  for p in range(1, n + 1)])
+def test_limit_poset_matches_brute_force(p, q):
+    # oracle: every composition of p + q into block sizes, with every count
+    # of positives per block, kept when it is a limit signature
+    candidates = {FlagSignature([(a, s - a) for a, s in zip(ps, sizes)])
+                  for sizes in _compositions(p + q)
+                  for ps in itertools.product(*(range(s + 1) for s in sizes))}
+    for F in candidates:
+        assert lim.is_limit_of(F, p, q) == _swap_search(F, p, q), F
+    expected = {F for F in candidates if lim.is_limit_of(F, p, q)}
+    nodes, edges = lim.limit_poset(p, q)
+    assert len(nodes) == len(expected)
+    assert set(nodes) == expected
+    # edges are all single-block splits between nodes, each adding one block
+    assert len(edges) == len(set(edges))
+    assert set(edges) == {(F, G) for F in nodes
+                          for G in lim._split_signatures(F) if G in expected}
     for a, b in edges:
         assert len(b.pairs) == len(a.pairs) + 1
