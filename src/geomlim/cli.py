@@ -52,8 +52,8 @@ def parse_grid(text, log=False):
         a, b, n = float(a), float(b), int(n)
     except ValueError:
         raise InvalidInput("grid must be 'a:b:n'") from None
-    if n < 1:
-        raise InvalidInput("grid needs at least one point")
+    if n < 1 or not np.isfinite([a, b]).all():
+        raise InvalidInput("grid needs finite ends and at least one point")
     if log:
         return list(np.logspace(a, b, n))
     return list(np.linspace(a, b, n))
@@ -89,8 +89,8 @@ def cmd_limit(args):
         except ValueError:
             raise InvalidInput(
                 "cannot parse form {!r}".format(args.form)) from None
-        if any(v == 0 for v in J):
-            raise InvalidInput("form entries must be nonzero")
+        if 0 in J or not np.isfinite(J).all():
+            raise InvalidInput("form entries must be finite and nonzero")
         if args.conj:
             C = parse_monomial_path(args.conj)
             if args.reverse:
@@ -204,8 +204,8 @@ def cmd_heis(args):
     r = _heis_rep(doc)
     if not heisenberg.is_representation(r):
         raise InvalidInput("generators do not commute")
-    tag, sub = heisenberg.classify(r)
     if args.heis_cmd == "classify":
+        tag, sub = heisenberg.classify(r)
         out = {"class": tag, "subtype": sub}
         if tag == "Holonomy":
             c = heisenberg.teichmuller_coords(r)
@@ -213,33 +213,28 @@ def cmd_heis(args):
         _emit(json.dumps(out, sort_keys=True, indent=2) + "\n", args.out)
         return 0
     # developing-map sampling
-    if tag != "Holonomy":
-        raise InvalidInput("developing map needs a holonomy representation")
-    grid = parse_grid(args.grid) if args.grid else list(np.linspace(0, 1, 9))
-    pts = [(u, v, *heisenberg.developing_map(r, u, v))
-           for u in grid for v in grid]
+    grid = parse_grid(args.grid or "0:1:9")
     if args.format == "svg":
-        # image of the unit-square boundary as a polyline
-        edge = []
-        ts = list(np.linspace(0, 1, 33))
-        for u, v in ([(t, 0) for t in ts] + [(1, t) for t in ts]
-                     + [(1 - t, 1) for t in ts] + [(0, 1 - t) for t in ts]):
-            edge.append(heisenberg.developing_map(r, u, v))
-        xs = [p[0] for p in edge]
-        ys = [p[1] for p in edge]
-        pad = 0.1 * max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
-        view = "{} {} {} {}".format(min(xs) - pad, min(ys) - pad,
-                                    max(xs) - min(xs) + 2 * pad,
-                                    max(ys) - min(ys) + 2 * pad)
-        poly = " ".join("{:.6g},{:.6g}".format(x, y) for x, y in edge)
+        # image of the unit-square boundary as a polyline, 33 points a
+        # side; v runs one side behind u
+        ts = np.linspace(0, 1, 33)
+        u = np.concatenate([ts, np.ones(33), 1 - ts, np.zeros(33)])
+        xs, ys = heisenberg.developing_map(r, u, np.roll(u, 33))
+        pad = 0.1 * max(xs.max() - xs.min(), ys.max() - ys.min(), 1e-9)
+        view = "{} {} {} {}".format(xs.min() - pad, ys.min() - pad,
+                                    xs.max() - xs.min() + 2 * pad,
+                                    ys.max() - ys.min() + 2 * pad)
+        poly = " ".join("{:.6g},{:.6g}".format(x, y) for x, y in zip(xs, ys))
         svg = ('<svg xmlns="http://www.w3.org/2000/svg" viewBox="{}">'
                '<polyline points="{}" fill="none" stroke="black" '
                'stroke-width="0.5%"/></svg>\n').format(view, poly)
         _emit(svg, args.out)
         return 0
+    us, vs = np.repeat(grid, len(grid)), np.tile(grid, len(grid))
+    fxs, fys = heisenberg.developing_map(r, us, vs)
     buf = io.StringIO()
     buf.write("u,v,fx,fy\n")
-    for u, v, fx, fy in pts:
+    for u, v, fx, fy in zip(us, vs, fxs, fys):
         buf.write("{},{},{},{}\n".format(u, v, fx, fy))
     _emit(buf.getvalue(), args.out)
     return 0
@@ -252,6 +247,8 @@ def cmd_regen(args):
         D_path = parse_monomial_path(doc["D_path"])
         Q = regeneration.Parallelogram(doc["vertices"])
         t_grid = doc.get("t_grid")
+        if t_grid is not None and not np.isfinite(t_grid).all():
+            raise ValueError("t_grid entries must be finite")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(str(exc)) from None
     if t_grid is None:
@@ -345,8 +342,7 @@ def build_parser():
 
     def common(p):
         p.add_argument("--out", default=None)
-        p.add_argument("--format", default=None,
-                       choices=["json", "csv", "dot", "svg"])
+        p.add_argument("--format", default=None)
 
     p = sub.add_parser("limit")
     common(p)
@@ -396,6 +392,16 @@ COMMANDS = {
 }
 
 
+def _formats(args):
+    """The output formats a subcommand emits; the first is the default."""
+    if args.cmd == "heis" and args.heis_cmd == "dev":
+        return ("csv", "svg")
+    if args.cmd == "cells" and args.poset:
+        return ("dot",)
+    return {"poset": ("json", "dot"), "regen": ("csv", "json")}.get(
+        args.cmd, ("json",))
+
+
 def run(argv):
     if not argv:
         sys.stderr.write(json.dumps({"error": "missing subcommand"}) + "\n")
@@ -412,14 +418,12 @@ def run(argv):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    # defaults per subcommand
-    if args.format is None:
-        args.format = "json" if args.cmd in ("limit", "poset", "cells",
-                                             "algebra") else \
-            ("csv" if args.cmd in ("regen",) else "json")
-    if args.cmd == "heis" and args.heis_cmd == "dev" and args.format == "json":
-        args.format = "csv"
     try:
+        formats = _formats(args)
+        args.format = args.format or formats[0]
+        if args.format not in formats:
+            raise InvalidInput("{} emits only {}".format(
+                args.cmd, ", ".join(formats)))
         return COMMANDS[args.cmd](args)
     except (InvalidInput, limits.Inconsistent, limits.ZeroEigenvalue,
             limits.DimensionMismatch, heisenberg.NotARepresentation,

@@ -45,11 +45,6 @@ class HeisRep:
     def scale(self):
         return max(np.abs(np.concatenate([self.x, self.y, self.z])).max(), 1.0)
 
-    def generator_log(self, i):
-        return np.array([[0.0, self.x[i], self.z[i]],
-                         [0.0, 0.0, self.y[i]],
-                         [0.0, 0.0, 0.0]])
-
     def generator(self, i):
         return heis_exp(self.x[i], self.y[i], self.z[i])
 
@@ -65,7 +60,8 @@ def heis_exp(x, y, z):
 def heis_log(g):
     """Inverse of heis_exp on the identity component."""
     g = np.asarray(g, dtype=float)
-    if not np.allclose(np.diag(g), 1.0) or np.abs(np.tril(g, -1)).max() > 0:
+    tol = 1e-12 * max(1.0, np.abs(g).max())
+    if not np.allclose(np.diag(g), 1.0) or np.abs(np.tril(g, -1)).max() > tol:
         raise NotIdentityComponent("not unipotent upper triangular")
     x, y = g[0, 1], g[1, 2]
     return (x, y, g[0, 2] - 0.5 * x * y)
@@ -128,14 +124,18 @@ def classify(r, rank_tol=1e-10):
 
 def developing_map(r, u, v):
     """Develop the point (u, v): apply the u-th and v-th real powers of
-    the generator images to the affine origin."""
+    the generator images to the affine origin.  u and v may be scalars,
+    giving a pair (fx, fy), or arrays of one shape, giving a pair of
+    arrays; the representation is classified once per call."""
     tag, _ = classify(r)
     if tag != "Holonomy":
         raise NotHolonomy("developing map needs a holonomy representation")
-    g = heis_exp(u * r.x[0], u * r.y[0], u * r.z[0])
-    h = heis_exp(v * r.x[1], v * r.y[1], v * r.z[1])
-    p = g @ h @ np.array([0.0, 0.0, 1.0])
-    return (p[0] / p[2], p[1] / p[2])
+    # heis_exp(u gen0) @ heis_exp(v gen1) @ e3; its last coordinate is 1
+    x, y, z = u * r.x[0], u * r.y[0], u * r.z[0]
+    X, Y, Z = v * r.x[1], v * r.y[1], v * r.z[1]
+    fx = (Z + 0.5 * X * Y) + x * Y + (z + 0.5 * x * y)
+    fy = Y + y
+    return (fx, fy)
 
 
 def teichmuller_coords(r):

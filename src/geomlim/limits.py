@@ -180,11 +180,6 @@ class LieSubspace:
         s = np.linalg.svd(resid, compute_uv=False)
         return float(np.arcsin(min(1.0, s[0] if len(s) else 0.0)))
 
-    def contains(self, M, tol=1e-9):
-        v = np.asarray(M, dtype=float).ravel()
-        r = v - self.onb @ (self.onb.T @ v)
-        return np.linalg.norm(r) <= tol * max(1.0, np.linalg.norm(v))
-
     def bracket_closure_residual(self):
         worst = 0.0
         for a, b in itertools.combinations(self.basis, 2):

@@ -103,23 +103,6 @@ class AlgMatrix:
     def identity(n, delta):
         return AlgMatrix(np.eye(n), np.zeros((n, n)), delta)
 
-    @staticmethod
-    def from_entries(entries, delta):
-        """Build from a grid of AlgScalar (or real) entries."""
-        n = len(entries)
-        re = np.zeros((n, n))
-        im = np.zeros((n, n))
-        for i in range(n):
-            for j in range(n):
-                e = entries[i][j]
-                if isinstance(e, AlgScalar):
-                    if e.delta != delta:
-                        raise DeltaMismatch("entry delta mismatch")
-                    re[i, j], im[i, j] = e.re, e.im
-                else:
-                    re[i, j] = e
-        return AlgMatrix(re, im, delta)
-
 
 def dagger(A):
     """Involution-transpose: transpose with entrywise conjugation."""
@@ -222,22 +205,11 @@ def standard_form(n, delta):
     return AlgMatrix(Q, None, delta)
 
 
-def is_hermitian(Q, tol=1e-12):
-    H = dagger(Q) - Q
-    return H.max_abs() <= tol
-
-
 def is_unitary(A, Q, tol=1e-9):
     """Does A preserve the Hermitian form Q, i.e. dagger(A) Q A = Q?"""
     A._check(Q)
     R = dagger(A) @ Q @ A - Q
     return R.max_abs() <= tol
-
-
-def unitary_inverse(A, Q):
-    """Inverse of a Q-unitary matrix: Q^-1 dagger(A) Q."""
-    Qinv = inverse(Q)
-    return Qinv @ dagger(A) @ Q
 
 
 def is_stabilizer(A, Q, tol=1e-9):

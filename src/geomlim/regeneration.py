@@ -75,25 +75,21 @@ def model_distance(m, p, q):
     return float(np.arccos(np.clip(u @ v, -1.0, 1.0)))
 
 
-def geodesic_midpoint(m, p, q, tol=1e-12):
-    """Equidistant point on the segment, by bisection in the affine
-    parameter (projective lines are geodesics in all three models)."""
+def geodesic_midpoint(m, p, q):
+    """Equidistant point on the segment, in closed form.
+
+    The Euclidean midpoint is the average.  In the curved models the
+    quadric lifts u, v of the ends have <u, u> = <v, v> for the form, so
+    <u, u + v> = <v, u + v>: the affine point of w = u + v, which lies
+    in the plane of u and v and hence on the segment, is at equal
+    distance from both ends.  Raises OutsideDomain for an end outside
+    the disk."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-
-    def gap(s):
-        x = p + s * (q - p)
-        return model_distance(m, p, x) - model_distance(m, x, q)
-
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    s = 0.5 * (lo + hi)
-    return p + s * (q - p)
+    if m.kind == "euclidean":
+        return 0.5 * (p + q)
+    w = _lift(m.kind, m.to_model(p)) + _lift(m.kind, m.to_model(q))
+    return w[:2] / w[2] * m.D[:2]
 
 
 class Parallelogram:
@@ -104,6 +100,8 @@ class Parallelogram:
         V = np.asarray(vertices, dtype=float)
         if V.shape != (4, 2):
             raise ValueError("need four plane vertices")
+        if not np.isfinite(V).all():
+            raise ValueError("vertices must be finite")
         if np.abs(V.sum(axis=0)).max() > 4e-12:
             raise ValueError("centroid must be the origin")
         if np.abs(V[0] + V[2]).max() > 1e-12 or np.abs(V[1] + V[3]).max() > 1e-12:

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 from fractions import Fraction
 
@@ -61,16 +62,61 @@ def test_limit_command_invalid(capsys):
     assert "error" in json.loads(err)
 
 
+REP = {"x": [0, 0], "y": [1, 0], "z": [0, 1]}
+JOB = {"kind": "hyperbolic", "D_path": "t^2,t,1",
+       "vertices": [[0.1, 0.0], [0.0, 0.1], [-0.1, 0.0], [0.0, -0.1]]}
+NAN = float("nan")
+
+
+# A dict as the last argument is written to a file and passed as its path.
 @pytest.mark.parametrize("argv", [
     ["poset", "0", "3"],
     ["poset", "1", "-1"],
     ["limit", "--form", "1,a,1"],
     ["limit", "--form", "1,1,1", "--conj", "t^1/0,t,1"],
+    ["limit", "--form", "1,inf,1"],
+    ["limit", "--form", "1,nan,1"],
+    ["regen", "--input",
+     dict(JOB, vertices=[[NAN, 0.0], [0.0, 0.1], [NAN, 0.0], [0.0, -0.1]],
+          t_grid=[10, 100, 1000])],
+    ["regen", "--input", dict(JOB, t_grid=[10, NAN, 1000])],
+    ["regen", "--grid", "0:nan:5", "--input", JOB],
+    ["heis", "dev", "--grid", "0:inf:5", "--input", REP],
+    ["limit", "--form", "1,1,1", "--format", "csv"],
+    ["limit", "--form", "1,1,1", "--format", "xml"],
+    ["poset", "1", "3", "--format", "csv"],
+    ["cells", "3", "--format", "dot"],
+    ["cells", "3", "--poset", "--format", "json"],
+    ["heis", "classify", "--format", "svg", "--input", REP],
+    ["heis", "dev", "--format", "json", "--input", REP],
+    ["regen", "--grid", "1:3:3", "--format", "svg", "--input", JOB],
+    ["algebra", "idempotents", "--delta", "1", "--format", "csv"],
 ])
-def test_invalid_input_exits_2(capsys, argv):
+def test_invalid_input_exits_2(capsys, tmp_path, argv):
+    if isinstance(argv[-1], dict):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(argv[-1]))
+        argv = argv[:-1] + [str(path)]
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("argv, default", [
+    (["limit", "--form", "1,1,1"], "json"),
+    (["cells", "3", "--poset"], "dot"),
+    (["heis", "dev", "--input", "-"], "csv"),
+    (["regen", "--grid", "1:3:3", "--input", "-"], "csv"),
+])
+def test_default_format_is_first_listed(capsys, monkeypatch, argv, default):
+    outs = []
+    for extra in ([], ["--format", default]):
+        doc = REP if argv[0] == "heis" else JOB
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, out, _ = run(capsys, *argv, *extra)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 def test_limit_determinism(capsys):

@@ -22,6 +22,15 @@ def test_log_rejects_non_unipotent():
         heis.heis_log(np.array([[1.0, 0, 0], [1.0, 1, 0], [0, 0, 1.0]]))
 
 
+def test_log_tolerates_roundoff_below_diagonal():
+    g = heis.heis_exp(1.0, 2.0, 3.0)
+    g[2, 0] += 1e-17
+    assert np.allclose(heis.heis_log(g), (1.0, 2.0, 3.0))
+    g[2, 0] += 1e-3
+    with pytest.raises(heis.NotIdentityComponent):
+        heis.heis_log(g)
+
+
 def make_rep(kind="generic"):
     d = rng.standard_normal(2)
     a, b = rng.standard_normal(2)
@@ -115,6 +124,26 @@ def test_developing_equivariance():
         p = g @ np.array([f[0], f[1], 1.0])
         shifted = heis.developing_map(r, u + 1, v)
         assert np.allclose(shifted, p[:2] / p[2], atol=1e-10)
+
+
+def test_developing_map_vectorised(monkeypatch):
+    r = HeisRep([0.3, 0.6], [1.5, 3.0], [0.2, -0.7])
+    u, v = rng.uniform(-2, 2, size=(2, 4, 5))
+    calls = []
+    classify = heis.classify
+    monkeypatch.setattr(heis, "classify",
+                        lambda rep: calls.append(rep) or classify(rep))
+    fx, fy = heis.developing_map(r, u, v)
+    assert len(calls) == 1 and fx.shape == fy.shape == u.shape
+    e3 = np.array([0.0, 0.0, 1.0])
+    for i in np.ndindex(u.shape):
+        f = heis.developing_map(r, u[i], v[i])
+        assert np.allclose(f, (fx[i], fy[i]), rtol=1e-15, atol=0)
+        # the matrix product the closed form expands
+        p = (heis.heis_exp(*(u[i] * np.array([r.x[0], r.y[0], r.z[0]])))
+             @ heis.heis_exp(*(v[i] * np.array([r.x[1], r.y[1], r.z[1]])))
+             @ e3)
+        assert np.allclose(f, p[:2] / p[2], rtol=1e-12, atol=1e-15)
 
 
 def test_developing_requires_holonomy():

@@ -61,6 +61,45 @@ def test_geodesic_midpoint(kind):
     assert np.allclose(mid, p + t * (q - p))
 
 
+def _mp_distance(mp, m, p, q):
+    """Model distance at the working precision of mpmath."""
+    a = [mp.mpf(float(x)) / mp.mpf(float(d)) for x, d in zip(p, m.D[:2])]
+    b = [mp.mpf(float(x)) / mp.mpf(float(d)) for x, d in zip(q, m.D[:2])]
+    ab = a[0] * b[0] + a[1] * b[1]
+    aa = a[0] ** 2 + a[1] ** 2
+    bb = b[0] ** 2 + b[1] ** 2
+    if m.kind == "hyperbolic":
+        return mp.acosh((1 - ab) / mp.sqrt((1 - aa) * (1 - bb)))
+    return mp.acos((1 + ab) / mp.sqrt((1 + aa) * (1 + bb)))
+
+
+@pytest.mark.parametrize("kind", ["hyperbolic", "sphere"])
+@pytest.mark.parametrize("t", [10.0, 1e4, 1e6])
+def test_midpoint_equidistant_at_large_t(kind, t):
+    # the README square shrinks to ~1e-13 in the model at t = 1e6
+    mp = pytest.importorskip("mpmath")
+    m = ModelParam(kind, (t * t, t, 1.0))
+    Q = Parallelogram([(0.1, 0.0), (0.0, 0.1), (-0.1, 0.0), (0.0, -0.1)])
+    with mp.workdps(50):
+        for p, q in Q.sides():
+            mid = regen.geodesic_midpoint(m, p, q)
+            d1 = _mp_distance(mp, m, p, mid)
+            d2 = _mp_distance(mp, m, mid, q)
+            assert abs(d1 - d2) <= 1e-12 * (d1 + d2)
+
+
+def test_euclidean_midpoint_is_average():
+    m = ModelParam("euclidean", (3.0, 2.0, 1.0))
+    p, q = np.array([0.2, -0.1]), np.array([-0.15, 0.25])
+    assert np.array_equal(regen.geodesic_midpoint(m, p, q), 0.5 * (p + q))
+
+
+def test_midpoint_outside_disk():
+    m = ModelParam("hyperbolic")
+    with pytest.raises(regen.OutsideDomain):
+        regen.geodesic_midpoint(m, [0.0, 0.0], [1.5, 0.0])
+
+
 def test_parallelogram_validation():
     with pytest.raises(ValueError):
         Parallelogram([(0, 0), (1, 0), (1, 1), (0, 1)])  # centroid off
