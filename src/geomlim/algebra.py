@@ -14,7 +14,7 @@ class DeltaMismatch(ValueError):
     """Raised when combining scalars from different algebras."""
 
 
-class ZeroDivisor(ZeroDivisionError):
+class ZeroDivisor(ZeroDivisionError, ValueError):
     """Raised when inverting an element of zero norm."""
 
 
@@ -142,8 +142,8 @@ def inv(x):
 def idempotents(delta):
     """The pair of nontrivial idempotents (1 +- lambda/sqrt(delta))/2.
 
-    Only the split algebras (delta > 0) have them."""
-    if delta <= 0:
+    Only the split algebras (finite delta > 0) have them."""
+    if not 0 < delta < math.inf:
         raise NotSplit("no nontrivial idempotents for delta = {}".format(delta))
     s = 0.5 / math.sqrt(delta)
     return (AlgScalar(0.5, s, delta), AlgScalar(0.5, -s, delta))

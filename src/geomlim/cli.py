@@ -2,6 +2,9 @@
 
 Subcommands: limit, poset, cells, heis, regen, algebra.  Exit codes:
 0 success, 2 invalid input (JSON error on stderr), 64 unknown subcommand.
+The library raises a ValueError for input outside its domain; ``run`` is
+the one place that turns it into exit 2, and the one place that writes
+command output.
 """
 
 import argparse
@@ -21,7 +24,14 @@ _TERM = re.compile(
 
 
 class InvalidInput(ValueError):
-    pass
+    """A command line or input document that breaks the CLI grammar."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as invalid input, not as usage text."""
+
+    def error(self, message):
+        raise InvalidInput(message)
 
 
 def parse_monomial_path(text):
@@ -40,10 +50,7 @@ def parse_monomial_path(text):
         entries.append((coeff, exp))
     if len(entries) < 2:
         raise InvalidInput("need at least two path entries")
-    try:
-        return limits.MonomialDiagonal(entries)
-    except ValueError as exc:
-        raise InvalidInput(str(exc)) from None
+    return limits.MonomialDiagonal(entries)
 
 
 def parse_grid(text, log=False):
@@ -54,17 +61,25 @@ def parse_grid(text, log=False):
         raise InvalidInput("grid must be 'a:b:n'") from None
     if n < 1 or not np.isfinite([a, b]).all():
         raise InvalidInput("grid needs finite ends and at least one point")
-    if log:
-        return list(np.logspace(a, b, n))
-    return list(np.linspace(a, b, n))
+    # a log grid past the float range reaches the library as inf, and the
+    # library rejects it
+    with np.errstate(over="ignore"):
+        return list(np.logspace(a, b, n) if log else np.linspace(a, b, n))
 
 
-def _emit(text, out):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _read_json(build, text=None, path=None):
+    """Build a library object from a JSON document: ``text``, or else the
+    file at ``path`` (stdin for None or "-").  Text that is not JSON, a
+    missing key or a value of the wrong type is invalid input."""
+    try:
+        if text is None and path in (None, "-"):
+            text = sys.stdin.read()
+        elif text is None:
+            with open(path) as fh:
+                text = fh.read()
+        return build(json.loads(text))
+    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        raise InvalidInput("bad input: {}".format(exc)) from None
 
 
 def _signature_json(F):
@@ -81,16 +96,10 @@ def _partition_json(P):
 def cmd_limit(args):
     if args.path:
         path = parse_monomial_path(args.path)
+    elif not args.form:
+        raise InvalidInput("need --form (with optional --conj) or --path")
     else:
-        if not args.form:
-            raise InvalidInput("need --form (with optional --conj) or --path")
-        try:
-            J = [float(v) for v in args.form.split(",")]
-        except ValueError:
-            raise InvalidInput(
-                "cannot parse form {!r}".format(args.form)) from None
-        if 0 in J or not np.isfinite(J).all():
-            raise InvalidInput("form entries must be finite and nonzero")
+        J = [float(v) for v in args.form.split(",")]
         if args.conj:
             C = parse_monomial_path(args.conj)
             if args.reverse:
@@ -115,8 +124,7 @@ def cmd_limit(args):
             doc["class_3d"] = limits.classify_limit_group_3d(F)
         except limits.UnknownSignature:
             pass
-    _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
-    return 0
+    return doc
 
 
 def _sig_label(F):
@@ -124,8 +132,6 @@ def _sig_label(F):
 
 
 def cmd_poset(args):
-    if args.p < 1 or args.q < 0:
-        raise InvalidInput("need p >= 1 and q >= 0")
     nodes, edges = limits.limit_poset(args.p, args.q)
     index = {F: i for i, F in enumerate(nodes)}
     if args.format == "dot":
@@ -136,20 +142,15 @@ def cmd_poset(args):
         for a, b in edges:
             buf.write("  n{} -> n{};\n".format(index[a], index[b]))
         buf.write("}\n")
-        _emit(buf.getvalue(), args.out)
-    else:
-        doc = {
-            "nodes": [_signature_json(F) for F in nodes],
-            "edges": [[index[a], index[b]] for a, b in edges],
-        }
-        _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
-    return 0
+        return buf.getvalue()
+    return {
+        "nodes": [_signature_json(F) for F in nodes],
+        "edges": [[index[a], index[b]] for a, b in edges],
+    }
 
 
 def cmd_cells(args):
     n = args.n
-    if n < 2:
-        raise InvalidInput("need n >= 2")
     all_cells = cells.enumerate_cells(n)
     if args.poset:
         buf = io.StringIO()
@@ -162,8 +163,7 @@ def cmd_cells(args):
             for j in sorted(index[f] for f in cells.faces(c)):
                 buf.write("  c{} -> c{};\n".format(i, j))
         buf.write("}\n")
-        _emit(buf.getvalue(), args.out)
-        return 0
+        return buf.getvalue()
     doc = {"counts": cells.closure_cell_counts(n), "cells": []}
     for c in all_cells:
         item = {
@@ -178,40 +178,19 @@ def cmd_cells(args):
             except limits.UnknownSignature:
                 pass
         doc["cells"].append(item)
-    _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
-    return 0
-
-
-def _read_json_input(path):
-    try:
-        if path in (None, "-"):
-            return json.load(sys.stdin)
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InvalidInput("bad input: {}".format(exc)) from None
-
-
-def _heis_rep(doc):
-    try:
-        return heisenberg.HeisRep(doc["x"], doc["y"], doc["z"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInput("bad representation: {}".format(exc)) from None
+    return doc
 
 
 def cmd_heis(args):
-    doc = _read_json_input(args.input)
-    r = _heis_rep(doc)
-    if not heisenberg.is_representation(r):
-        raise InvalidInput("generators do not commute")
+    r = _read_json(lambda d: heisenberg.HeisRep(d["x"], d["y"], d["z"]),
+                   path=args.input)
     if args.heis_cmd == "classify":
         tag, sub = heisenberg.classify(r)
         out = {"class": tag, "subtype": sub}
         if tag == "Holonomy":
             c = heisenberg.teichmuller_coords(r)
             out["canonical"] = {"x": list(c.x), "y": list(c.y), "z": list(c.z)}
-        _emit(json.dumps(out, sort_keys=True, indent=2) + "\n", args.out)
-        return 0
+        return out
     # developing-map sampling
     grid = parse_grid(args.grid or "0:1:9")
     if args.format == "svg":
@@ -225,42 +204,40 @@ def cmd_heis(args):
                                     xs.max() - xs.min() + 2 * pad,
                                     ys.max() - ys.min() + 2 * pad)
         poly = " ".join("{:.6g},{:.6g}".format(x, y) for x, y in zip(xs, ys))
-        svg = ('<svg xmlns="http://www.w3.org/2000/svg" viewBox="{}">'
-               '<polyline points="{}" fill="none" stroke="black" '
-               'stroke-width="0.5%"/></svg>\n').format(view, poly)
-        _emit(svg, args.out)
-        return 0
+        return ('<svg xmlns="http://www.w3.org/2000/svg" viewBox="{}">'
+                '<polyline points="{}" fill="none" stroke="black" '
+                'stroke-width="0.5%"/></svg>\n').format(view, poly)
     us, vs = np.repeat(grid, len(grid)), np.tile(grid, len(grid))
     fxs, fys = heisenberg.developing_map(r, us, vs)
     buf = io.StringIO()
     buf.write("u,v,fx,fy\n")
     for u, v, fx, fy in zip(us, vs, fxs, fys):
         buf.write("{},{},{},{}\n".format(u, v, fx, fy))
-    _emit(buf.getvalue(), args.out)
-    return 0
+    return buf.getvalue()
+
+
+def _regen_job(doc):
+    """Kind, conjugator path, parallelogram and t grid (None when absent)
+    of a regen document.  t is passed on as given, so it prints as given."""
+    kind, D_path, t_grid = doc["kind"], doc["D_path"], doc.get("t_grid")
+    if not (isinstance(kind, str) and isinstance(D_path, str)):
+        raise TypeError("kind and D_path must be strings")
+    if t_grid is not None and not all(
+            isinstance(t, (int, float)) for t in t_grid):
+        raise TypeError("t_grid must be a list of numbers")
+    return (kind, parse_monomial_path(D_path),
+            regeneration.Parallelogram(doc["vertices"]), t_grid)
 
 
 def cmd_regen(args):
-    doc = _read_json_input(args.input)
-    try:
-        kind = doc["kind"]
-        D_path = parse_monomial_path(doc["D_path"])
-        Q = regeneration.Parallelogram(doc["vertices"])
-        t_grid = doc.get("t_grid")
-        if t_grid is not None and not np.isfinite(t_grid).all():
-            raise ValueError("t_grid entries must be finite")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInput(str(exc)) from None
+    kind, D_path, Q, t_grid = _read_json(_regen_job, path=args.input)
     if t_grid is None:
         if not args.grid:
             raise InvalidInput("need t_grid in the input or --grid")
         t_grid = parse_grid(args.grid, log=True)
-    try:
-        trace = regeneration.regenerate_trace(kind, D_path, Q, t_grid)
-    except (ValueError, regeneration.OutsideDomain) as exc:
-        raise InvalidInput(str(exc)) from None
+    trace = regeneration.regenerate_trace(kind, D_path, Q, t_grid)
     if args.format == "json":
-        doc = {
+        return {
             "A_inf": trace["A_inf"].tolist(),
             "B_inf": trace["B_inf"].tolist(),
             "limit_in_heis": trace["limit_in_heis"],
@@ -270,8 +247,6 @@ def cmd_regen(args):
                  for k, v in s.items()}
                 for s in trace["samples"]],
         }
-        _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
-        return 0
     buf = io.StringIO()
     head = ["t"] + ["A{}{}".format(i, j) for i in range(3) for j in range(3)] \
         + ["B{}{}".format(i, j) for i in range(3) for j in range(3)] \
@@ -283,16 +258,11 @@ def cmd_regen(args):
         row = [s["t"]] + list(s["A"].ravel()) + list(s["B"].ravel()) \
             + [s["commutator_residual"], s["form_residual"]]
         buf.write(",".join(repr(float(x)) for x in row) + "\n")
-    _emit(buf.getvalue(), args.out)
-    return 0
+    return buf.getvalue()
 
 
-def _scalar_from_json(text):
-    try:
-        doc = json.loads(text)
-        return algebra.AlgScalar(doc["re"], doc.get("im", 0.0), doc["delta"])
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise InvalidInput("bad scalar: {}".format(exc)) from None
+def _scalar(doc):
+    return algebra.AlgScalar(doc["re"], doc.get("im", 0.0), doc["delta"])
 
 
 def _scalar_json(x):
@@ -304,40 +274,23 @@ def cmd_algebra(args):
     if op == "idempotents":
         if args.delta is None:
             raise InvalidInput("idempotents needs --delta")
-        try:
-            ep, em = algebra.idempotents(args.delta)
-        except algebra.NotSplit as exc:
-            raise InvalidInput(str(exc)) from None
-        doc = [_scalar_json(ep), _scalar_json(em)]
-    else:
-        if not args.a:
-            raise InvalidInput("operation {} needs --a".format(op))
-        x = _scalar_from_json(args.a)
-        if op == "mul":
-            if not args.b:
-                raise InvalidInput("mul needs --b")
-            y = _scalar_from_json(args.b)
-            try:
-                doc = _scalar_json(algebra.mul(x, y))
-            except algebra.DeltaMismatch as exc:
-                raise InvalidInput(str(exc)) from None
-        elif op == "conj":
-            doc = _scalar_json(algebra.conj(x))
-        elif op == "norm":
-            doc = algebra.norm(x)
-        elif op == "inv":
-            try:
-                doc = _scalar_json(algebra.inv(x))
-            except algebra.ZeroDivisor as exc:
-                raise InvalidInput(str(exc)) from None
-        else:
-            raise InvalidInput("unknown algebra op {!r}".format(op))
-    _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
-    return 0
+        return [_scalar_json(e) for e in algebra.idempotents(args.delta)]
+    if not args.a:
+        raise InvalidInput("operation {} needs --a".format(op))
+    x = _read_json(_scalar, text=args.a)
+    if op == "mul":
+        if not args.b:
+            raise InvalidInput("mul needs --b")
+        return _scalar_json(algebra.mul(x, _read_json(_scalar, text=args.b)))
+    if op == "conj":
+        return _scalar_json(algebra.conj(x))
+    if op == "norm":
+        return algebra.norm(x)
+    return _scalar_json(algebra.inv(x))
 
 
 def build_parser():
-    top = argparse.ArgumentParser(prog="geomlim", add_help=True)
+    top = _Parser(prog="geomlim", add_help=True)
     sub = top.add_subparsers(dest="cmd")
 
     def common(p):
@@ -406,30 +359,32 @@ def run(argv):
     if not argv:
         sys.stderr.write(json.dumps({"error": "missing subcommand"}) + "\n")
         return 64
-    if argv[0] in ("-h", "--help"):
-        build_parser().print_help()
-        return 0
-    if argv[0] not in COMMANDS:
+    if argv[0] not in (*COMMANDS, "-h", "--help"):
         sys.stderr.write(json.dumps(
             {"error": "unknown subcommand {!r}".format(argv[0])}) + "\n")
         return 64
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         formats = _formats(args)
         args.format = args.format or formats[0]
         if args.format not in formats:
             raise InvalidInput("{} emits only {}".format(
                 args.cmd, ", ".join(formats)))
-        return COMMANDS[args.cmd](args)
-    except (InvalidInput, limits.Inconsistent, limits.ZeroEigenvalue,
-            limits.DimensionMismatch, heisenberg.NotARepresentation,
-            heisenberg.NotHolonomy) as exc:
+        result = COMMANDS[args.cmd](args)
+        if not isinstance(result, str):
+            result = json.dumps(result, sort_keys=True, indent=2) + "\n"
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(result)
+        else:
+            sys.stdout.write(result)
+    except SystemExit:
+        # argparse printed the help; its errors raise InvalidInput
+        return 0
+    except (ValueError, OSError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2
+    return 0
 
 
 def main():

@@ -32,8 +32,8 @@ class HeisRep:
         self.y = np.array(y, dtype=float)
         self.z = np.array(z, dtype=float)
         for v in (self.x, self.y, self.z):
-            if v.shape != (2,):
-                raise ValueError("coordinates must be 2-vectors")
+            if v.shape != (2,) or not np.isfinite(v).all():
+                raise ValueError("coordinates must be finite 2-vectors")
 
     def __repr__(self):
         return "HeisRep(x={}, y={}, z={})".format(

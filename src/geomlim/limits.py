@@ -39,6 +39,8 @@ class MonomialDiagonal:
         self.entries = [(float(c), Fraction(e)) for c, e in entries]
         if any(c == 0 for c, _ in self.entries):
             raise ZeroEigenvalue("zero coefficient in diagonal path")
+        if not np.isfinite([c for c, _ in self.entries]).all():
+            raise ValueError("path coefficients must be finite")
         if len(self.entries) < 2:
             raise ValueError("need at least two diagonal entries")
 
@@ -47,7 +49,19 @@ class MonomialDiagonal:
         return len(self.entries)
 
     def evaluate(self, t):
-        return np.array([c * float(t) ** float(e) for c, e in self.entries])
+        """The diagonal at a finite t > 0; an entry that overflows or
+        underflows the float range is an error, not inf or 0."""
+        t = float(t)
+        if not 0 < t < np.inf:
+            raise ValueError(
+                "t must be finite and positive, got {!r}".format(t))
+        try:
+            D = np.array([c * t ** float(e) for c, e in self.entries])
+            if np.all(np.isfinite(D) & (D != 0)):
+                return D
+        except OverflowError:
+            pass
+        raise ValueError("path leaves the float range at t = {!r}".format(t))
 
     def reversed(self):
         """The same path re-parameterized t -> 1/t (exponents negated)."""
@@ -211,12 +225,12 @@ def conjugacy_to_form_path(C, J):
     a path of diagonal forms: D O(J) D^-1 = O(D^-T J D^-1) gives entries
     (J_i c_i^-2, -2 e_i)."""
     J = np.asarray(J, dtype=float)
-    if np.any(J == 0):
-        raise ZeroEigenvalue("form has a zero diagonal entry")
     if len(J) != C.n:
         raise DimensionMismatch("form and path sizes differ")
-    return MonomialDiagonal(
-        [(J[i] / (c * c), -2 * e) for i, (c, e) in enumerate(C.entries)])
+    # an entry past the float range is inf, which MonomialDiagonal rejects
+    with np.errstate(over="ignore", divide="ignore"):
+        return MonomialDiagonal(
+            [(J[i] / (c * c), -2 * e) for i, (c, e) in enumerate(C.entries)])
 
 
 def psi_limit(P):

@@ -31,8 +31,9 @@ class ModelParam:
             raise ValueError("unknown kind {!r}".format(kind))
         self.kind = kind
         D = np.asarray(D, dtype=float)
-        if D.shape != (3,) or np.any(D <= 0):
-            raise ValueError("conjugator must be three positive entries")
+        if D.shape != (3,) or not np.all(np.isfinite(D) & (D > 0)):
+            raise ValueError(
+                "conjugator must be three finite positive entries")
         self.D = D
 
     def to_model(self, p):
@@ -226,9 +227,7 @@ def regenerate_trace(kind, D_path, Q, t_grid):
 
     Returns per-t samples (pairings, side midpoints, commutator and form
     residuals) and extrapolated limits with a Heisenberg membership flag."""
-    kind = kind.lower()
-    if kind not in KINDS:
-        raise ValueError("unknown kind {!r}".format(kind))
+    kind = ModelParam(kind).kind  # checked and lower-cased
     if D_path.n != 3:
         raise ValueError("conjugator path must have three entries")
     if kind != "euclidean" and not heisenberg_criterion(D_path):

@@ -101,10 +101,18 @@ def test_idempotents(delta):
     assert abs(ep.im - 0.5 / math.sqrt(delta)) <= 1e-12
 
 
-@pytest.mark.parametrize("delta", [0.0, -1.0])
+@pytest.mark.parametrize("delta", [0.0, -1.0, math.inf, math.nan])
 def test_idempotents_need_split(delta):
     with pytest.raises(alg.NotSplit):
         alg.idempotents(delta)
+
+
+def test_zero_divisor_is_a_value_error():
+    # ZeroDivisionError handlers and the CLI's ValueError boundary both
+    # catch it
+    for cls in (ZeroDivisionError, ValueError):
+        with pytest.raises(cls):
+            alg.inv(scal(0, 0, -1.0))
 
 
 def test_dunder_arithmetic_matches_functions():

@@ -1,9 +1,13 @@
+import contextlib
 import hashlib
 import io
 import json
+import warnings
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geomlim import cli
 
@@ -91,15 +95,33 @@ NAN = float("nan")
     ["heis", "dev", "--format", "json", "--input", REP],
     ["regen", "--grid", "1:3:3", "--format", "svg", "--input", JOB],
     ["algebra", "idempotents", "--delta", "1", "--format", "csv"],
+    ["algebra", "mul", "--a", '{"re":"x","delta":0}'],
+    ["regen", "--input", dict(JOB, t_grid=[1e100, 1e200, 1e300])],
+    ["regen", "--input",
+     dict(JOB, D_path="t^1,t^1/2,1", t_grid=[-10, -100, -1000])],
+    ["regen", "--input", dict(JOB, D_path="t^1,t^1/2,1", t_grid=[0, 1, 2])],
+    ["regen", "--input", dict(JOB, t_grid="abc")],
+    ["regen", "--input", dict(JOB, t_grid=[None])],
+    ["limit", "--form", "1e308,1,1", "--conj", "0.0001*t,t,1"],
+    ["cells", "x"],
+    ["limit", "--bogus"],
+    ["cells", "3", "--out", "/nonexistent/dir/x.json"],
 ])
 def test_invalid_input_exits_2(capsys, tmp_path, argv):
     if isinstance(argv[-1], dict):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(argv[-1]))
         argv = argv[:-1] + [str(path)]
-    code, _, err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert "error" in json.loads(err)
+    assert out == "" and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["cells", "--help"]])
+def test_help_exits_0(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.startswith("usage:")
 
 
 @pytest.mark.parametrize("argv, default", [
@@ -222,3 +244,100 @@ def test_combinatorics_output_unchanged(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+FUZZ_DOCS = {
+    "translation": REP,
+    "shear": {"x": [1, 2], "y": [1, 2], "z": [0, 1]},
+    "flat": {"x": [1, 0], "y": [2, 0], "z": [0, 0]},
+    "noncommuting": {"x": [1, 0], "y": [0, 1], "z": [0, 0]},
+    "nan_rep": {"x": [NAN, 0], "y": [1, 0], "z": [0, 1]},
+    "job": JOB,
+    "job_grid": dict(JOB, t_grid=[10, 100, 1000]),
+    "sphere_grid": dict(JOB, kind="sphere", t_grid=[2, 3, 5, 7]),
+    "null_t": dict(JOB, t_grid=[None]),
+    "negative_t": dict(JOB, t_grid=[-10, 0, 10]),
+    "huge_t": dict(JOB, t_grid=[1e100, 1e200]),
+    "kind_number": dict(JOB, kind=5),
+    "missing_key": {"x": [0, 0]},
+    "list": [1, 2],
+}
+FORMS = ["1,1,1", "1,1,-1", "1,-1,1,-1", "2,3,-1", "1,0,1", "1,nan,1",
+         "1e308,1,1", "1,a,1"]
+PATHS = ["t^2,t,1", "1,1,t^1/2", "t^3,t^2,t,1", "0.0001*t,t,1", "t^1/0,t,1",
+         "t^2,t", "t^x,1"]
+SCALARS = ['{"re": 1.5, "im": -2, "delta": -1}', '{"re": 1, "delta": 1}',
+           '{"re": 0, "im": 0, "delta": 2}', '{"re": "x", "delta": 0}',
+           '{"re": null, "delta": 0}', "[1]", "{"]
+# Mutation tokens.  Integers stay small, so no mutation makes cells or
+# poset large; --out appears only with a directory that does not exist.
+TOKENS = ["-1", "0", "1", "x", "1.5", "nan", "inf", "1e308", "", "-h",
+          "--poset", "--reverse", "--format", "json", "csv", "dot", "svg",
+          "xml", "--grid", "0:1:9", "0:1", "1:0:3", "0:nan:3", "0:400:3",
+          "-400:0:3", "a:b:c", "--form", "--conj", "--path", "--input",
+          "--a", "--b", "--delta", "--bogus", "classify", "dev", "mul", "inv",
+          "frob", "--out=/nonexistent/dir/x.json"] + FORMS + PATHS + SCALARS
+
+
+@st.composite
+def cli_argvs(draw, doc_paths):
+    """A command line of the README grammar, with at most three tokens
+    after the subcommand replaced, deleted or inserted.  Sizes stay small:
+    cells n <= 4, poset p + q <= 5, grids of at most 9 points."""
+    def pick(options):
+        return draw(st.sampled_from(options))
+
+    p = draw(st.integers(1, 4))
+    k = str(draw(st.integers(1, 9)))
+    argv = pick([
+        ["limit", "--form", pick(FORMS), "--conj", pick(PATHS)],
+        ["limit", "--path", pick(PATHS), "--reverse"],
+        ["poset", str(p), str(draw(st.integers(0, 5 - p))),
+         "--format", pick(["json", "dot"])],
+        ["cells", str(p)] + pick([[], ["--poset"]]),
+        ["heis", pick(["classify", "dev"]), "--input", pick(doc_paths),
+         "--grid", "0:1:" + k, "--format", pick(["json", "csv", "svg"])],
+        ["regen", "--input", pick(doc_paths), "--grid", "1:4:" + k,
+         "--format", pick(["csv", "json"])],
+        ["algebra", pick(["mul", "conj", "norm", "inv", "idempotents"]),
+         "--a", pick(SCALARS), "--b", pick(SCALARS),
+         "--delta", pick(["-1", "0", "1", "2", "nan", "inf"])],
+    ])
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(1, len(argv)))
+        op = pick(["insert", "replace", "delete"])
+        if op == "insert":
+            argv.insert(i, pick(TOKENS + doc_paths))
+        elif i < len(argv) and op == "replace":
+            argv[i] = pick(TOKENS + doc_paths)
+        elif i < len(argv):
+            del argv[i]
+    return argv
+
+
+def test_run_fuzz(tmp_path):
+    doc_paths = [str(tmp_path / "missing.json"), str(tmp_path / "bad.json")]
+    (tmp_path / "bad.json").write_text("{")
+    for name, doc in FUZZ_DOCS.items():
+        doc_paths.append(str(tmp_path / (name + ".json")))
+        (tmp_path / (name + ".json")).write_text(json.dumps(doc))
+    stdins = [json.dumps(doc) for doc in FUZZ_DOCS.values()] + ["", "{"]
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(cli_argvs(doc_paths), st.sampled_from(stdins))
+    def check(argv, stdin):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err), \
+                mock.patch("sys.stdin", io.StringIO(stdin)), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.run(argv)
+        assert code in (0, 2, 64)
+        if code:
+            assert out.getvalue() == "" and not caught
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and "error" in json.loads(lines[0])
+
+    check()

@@ -146,6 +146,12 @@ def test_developing_map_vectorised(monkeypatch):
         assert np.allclose(f, p[:2] / p[2], rtol=1e-12, atol=1e-15)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rep_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        HeisRep([bad, 0], [1, 0], [0, 1])
+
+
 def test_developing_requires_holonomy():
     with pytest.raises(heis.NotHolonomy):
         heis.developing_map(HeisRep([1, 2], [0, 0], [0, 1]), 0.5, 0.5)

@@ -1,4 +1,6 @@
 import itertools
+import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +27,27 @@ def test_monomial_diagonal():
     assert R.entries == [(2.0, Fraction(-1, 2)), (1.0, Fraction(0))]
     with pytest.raises(lim.ZeroEigenvalue):
         MonomialDiagonal([(0.0, 1), (1.0, 0)])
+    for c in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            MonomialDiagonal([(c, 1), (1.0, 0)])
+
+
+@pytest.mark.parametrize("t", [0, -10, math.inf, math.nan, 1e200])
+def test_evaluate_needs_finite_positive_t_in_range(t):
+    # at t = 1e200, t^2 overflows and t^-2 underflows to 0
+    P = MonomialDiagonal([(1.0, Fraction(2)), (1.0, Fraction(1, 2)),
+                          (1.0, 0)])
+    for path in (P, P.reversed()):
+        with pytest.raises(ValueError):
+            path.evaluate(t)
+
+
+def test_form_path_overflow_is_an_error_not_a_warning():
+    C = MonomialDiagonal([(0.0001, 1), (1.0, 1), (1.0, 0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            lim.conjugacy_to_form_path(C, [1e308, 1.0, 1.0])
 
 
 @given(st.floats(min_value=-100, max_value=100),

@@ -20,6 +20,9 @@ def test_model_param_validation():
         ModelParam("elliptic")
     with pytest.raises(ValueError):
         ModelParam("sphere", (1.0, -1.0, 1.0))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            ModelParam("sphere", (bad, 1.0, 1.0))
 
 
 @pytest.mark.parametrize("kind", regen.KINDS)
