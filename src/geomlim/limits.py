@@ -72,6 +72,12 @@ class MonomialDiagonal:
         return MonomialDiagonal([(v, 0) for v in values])
 
 
+# A coordinate below RP1_TINY times the other is taken as zero.  Its sign
+# picks the representative, and rescaling [u : v] can underflow it to 0
+# and lose that sign; 2^-900 leaves room for factors down to 2^-100.
+RP1_TINY = 2.0 ** -900
+
+
 def rp1(u, v):
     """Canonical representative of [u : v]: max-magnitude coordinate has
     magnitude 1 and the first nonzero coordinate is positive."""
@@ -80,6 +86,10 @@ def rp1(u, v):
         raise ValueError("[0:0] is not a projective point")
     m = max(abs(u), abs(v))
     u, v = u / m, v / m
+    if abs(u) < RP1_TINY:
+        u = 0.0
+    if abs(v) < RP1_TINY:
+        v = 0.0
     lead = u if u != 0 else v
     if lead < 0:
         u, v = -u, -v

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from geomlim import limits as lim
 from geomlim.limits import (FlagSignature, LieSubspace, LimitPoint,
@@ -53,6 +53,7 @@ def test_form_path_overflow_is_an_error_not_a_warning():
 @given(st.floats(min_value=-100, max_value=100),
        st.floats(min_value=-100, max_value=100),
        st.floats(min_value=0.01, max_value=100))
+@example(-5e-324, 1.0, 0.5)  # 0.5 * u underflows to -0.0
 def test_rp1_scale_invariant(u, v, s):
     if abs(u) < 1e-6 and abs(v) < 1e-6:
         return
@@ -62,6 +63,12 @@ def test_rp1_scale_invariant(u, v, s):
     c = lim.rp1(-u, -v)
     assert np.allclose(a, c, rtol=1e-9, atol=1e-12)
     assert max(abs(a[0]), abs(a[1])) == 1.0
+
+
+def test_rp1_negligible_coordinate_is_zero():
+    assert lim.rp1(-5e-324, 1.0) == (0.0, 1.0)
+    assert lim.rp1(1.0, -lim.RP1_TINY / 2) == (1.0, 0.0)
+    assert lim.rp1(-1e-200, 1.0) == (1e-200, -1.0)
 
 
 def test_psi_limit_exact():
