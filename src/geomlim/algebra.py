@@ -40,6 +40,10 @@ class AlgScalar:
         self.re = float(re)
         self.im = float(im)
         self.delta = float(delta)
+        if not (math.isfinite(self.re) and math.isfinite(self.im)
+                and math.isfinite(self.delta)):
+            raise ValueError("scalar entries must be finite, got {!r}".format(
+                self))
 
     def __repr__(self):
         return "AlgScalar({}, {}, delta={})".format(self.re, self.im, self.delta)

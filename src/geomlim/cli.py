@@ -61,9 +61,10 @@ def parse_grid(text, log=False):
         raise InvalidInput("grid must be 'a:b:n'") from None
     if n < 1 or not np.isfinite([a, b]).all():
         raise InvalidInput("grid needs finite ends and at least one point")
-    # a log grid past the float range reaches the library as inf, and the
-    # library rejects it
-    with np.errstate(over="ignore"):
+    # a grid past the float range (a log grid, or a linear one whose step
+    # overflows) reaches the library as inf or NaN, and the library
+    # rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
         return list(np.logspace(a, b, n) if log else np.linspace(a, b, n))
 
 

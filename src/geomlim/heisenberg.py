@@ -126,15 +126,21 @@ def developing_map(r, u, v):
     """Develop the point (u, v): apply the u-th and v-th real powers of
     the generator images to the affine origin.  u and v may be scalars,
     giving a pair (fx, fy), or arrays of one shape, giving a pair of
-    arrays; the representation is classified once per call."""
+    arrays; the representation is classified once per call.  Points must
+    be finite, and so must their images."""
     tag, _ = classify(r)
     if tag != "Holonomy":
         raise NotHolonomy("developing map needs a holonomy representation")
-    # heis_exp(u gen0) @ heis_exp(v gen1) @ e3; its last coordinate is 1
-    x, y, z = u * r.x[0], u * r.y[0], u * r.z[0]
-    X, Y, Z = v * r.x[1], v * r.y[1], v * r.z[1]
-    fx = (Z + 0.5 * X * Y) + x * Y + (z + 0.5 * x * y)
-    fy = Y + y
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise ValueError("points must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        # heis_exp(u gen0) @ heis_exp(v gen1) @ e3; its last coordinate is 1
+        x, y, z = u * r.x[0], u * r.y[0], u * r.z[0]
+        X, Y, Z = v * r.x[1], v * r.y[1], v * r.z[1]
+        fx = (Z + 0.5 * X * Y) + x * Y + (z + 0.5 * x * y)
+        fy = Y + y
+    if not (np.isfinite(fx).all() and np.isfinite(fy).all()):
+        raise ValueError("developed points leave the float range")
     return (fx, fy)
 
 

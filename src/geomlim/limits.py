@@ -352,9 +352,10 @@ def decode_partition(L):
         pt = [vals[i] for i in b]
         # coherence of all in-block ratios with the anchored values
         for i, j in itertools.combinations(b, 2):
-            got = L.components[(i, j)]
-            want = rp1(vals[i], vals[j])
-            if not np.allclose(got, want, rtol=1e-9, atol=1e-12):
+            (g0, g1), (w0, w1) = L.components[(i, j)], rp1(vals[i], vals[j])
+            # relative 1e-9, absolute 1e-12 (as np.allclose); a NaN fails
+            if not (abs(g0 - w0) <= 1e-12 + 1e-9 * abs(w0)
+                    and abs(g1 - w1) <= 1e-12 + 1e-9 * abs(w1)):
                 raise Inconsistent(
                     "in-block ratio ({}, {}) is incoherent".format(i, j))
         points.append(pt)

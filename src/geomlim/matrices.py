@@ -3,7 +3,9 @@
 An AlgMatrix keeps the two real coefficient grids (of 1 and of lambda)
 as numpy arrays, so the involution-transpose, determinant, exponential,
 the real 2n x 2n representation, and the unitary-group predicates are all
-plain real linear algebra underneath.
+plain real linear algebra underneath.  The Lie algebra of the (n,1)
+unitary group has the closed form X = QS + lambda*QT with S skew and T
+symmetric, so its coefficient grids do not depend on delta.
 """
 
 import math
@@ -149,23 +151,28 @@ def exp_delta(X):
     """Matrix exponential by scaling-and-squaring with the algebra product.
 
     Halves X until its real-representation Frobenius norm is at most 1/2,
-    runs 20 series terms, then squares back up."""
+    runs 20 series terms, then squares back up.  The series works on the
+    two coefficient grids directly, in the operation order of AlgMatrix's
+    @, * and +."""
     nrm = np.linalg.norm(iota_delta(X))
     k = 0
     while nrm > 0.5:
         nrm /= 2.0
         k += 1
-    Y = X * (0.5 ** k)
+    s = 0.5 ** k
+    y_re, y_im = s * X.re, s * X.im
+    d = X.delta
     n = X.n
-    term = AlgMatrix.identity(n, X.delta)
-    acc = AlgMatrix.identity(n, X.delta)
+    t_re, t_im = np.eye(n), np.zeros((n, n))
+    a_re, a_im = np.eye(n), np.zeros((n, n))
     for m in range(1, 21):
-        term = term @ Y
-        term = term * (1.0 / m)
-        acc = acc + term
+        t_re, t_im = t_re @ y_re + d * (t_im @ y_im), t_re @ y_im + t_im @ y_re
+        c = 1.0 / m
+        t_re, t_im = c * t_re, c * t_im
+        a_re, a_im = a_re + t_re, a_im + t_im
     for _ in range(k):
-        acc = acc @ acc
-    return acc
+        a_re, a_im = a_re @ a_re + d * (a_im @ a_im), a_re @ a_im + a_im @ a_re
+    return AlgMatrix(a_re, a_im, d)
 
 
 def iota_delta(A):
@@ -229,42 +236,29 @@ def is_stabilizer(A, Q, tol=1e-9):
 
 
 def u_lie_basis(n, delta):
-    """Basis of the Lie algebra of the (n,1) unitary group over the algebra.
+    """Orthonormal basis of the Lie algebra of the (n,1) unitary group
+    over the algebra, Q = diag(I_n, -1).
 
-    Solves dagger(X) Q + Q X = 0 numerically over the 2(n+1)^2 real
-    coordinates of X = A + lambda*B.  The assembled linear system does not
-    involve delta at all, so the returned coefficient grids are identical
-    for every delta."""
+    X = A + lambda*B solves dagger(X) Q + Q X = 0 exactly when QA is skew
+    and QB is symmetric, i.e. X = QS + lambda*QT with S skew and T
+    symmetric.  The basis is Q(E_ij - E_ji)/sqrt(2) for i < j, then
+    lambda*Q(E_ij + E_ji)/sqrt(2) for i < j and lambda*Q E_ii: (n+1)^2
+    elements, orthonormal in the 2(n+1)^2 real coordinates.  delta does
+    not enter, so the coefficient grids are identical for every delta."""
     m = n + 1
-    Q = np.eye(m)
-    Q[n, n] = -1.0
-    # unknowns: vec(A) then vec(B); conditions: A^T Q + Q A = 0, Q B - B^T Q = 0
-    rows = []
-    for i in range(m):
-        for j in range(m):
-            rowA = np.zeros(2 * m * m)
-            rowB = np.zeros(2 * m * m)
-            for k in range(m):
-                # (A^T Q)_{ij} = sum_k A_{ki} Q_{kj}
-                rowA[k * m + i] += Q[k, j]
-                # (Q A)_{ij} = sum_k Q_{ik} A_{kj}
-                rowA[k * m + j] += Q[i, k]
-                # (Q B)_{ij} = sum_k Q_{ik} B_{kj}
-                rowB[m * m + k * m + j] += Q[i, k]
-                # (B^T Q)_{ij} = sum_k B_{ki} Q_{kj}
-                rowB[m * m + k * m + i] -= Q[k, j]
-            rows.append(rowA)
-            rows.append(rowB)
-    M = np.array(rows)
-    _, s, vt = np.linalg.svd(M)
-    tol = 1e-10 * s[0]
-    null = vt[np.concatenate([s <= tol, np.ones(vt.shape[0] - len(s), bool)])]
-    basis = []
-    for v in null:
-        A = v[:m * m].reshape(m, m)
-        B = v[m * m:].reshape(m, m)
-        basis.append(AlgMatrix(A, B, delta))
-    return basis
+    q = np.ones((m, 1))
+    q[n] = -1.0  # Q = diag(q), so Q M is q * M
+    i, j = np.triu_indices(m, 1)
+    E = np.zeros((len(i), m, m))  # E_ij / sqrt(2), i < j
+    E[np.arange(len(i)), i, j] = math.sqrt(0.5)
+    Et = E.transpose(0, 2, 1)
+    r = np.arange(m)
+    D = np.zeros((m, m, m))  # E_ii
+    D[r, r, r] = 1.0
+    zero = np.zeros((m, m))
+    return ([AlgMatrix(A, zero, delta) for A in q * (E - Et)]
+            + [AlgMatrix(zero, B, delta)
+               for B in q * np.concatenate([E + Et, D])])
 
 
 def rr_to_unitary(X, n=None):

@@ -46,6 +46,16 @@ def test_delta_mismatch():
     assert scal(1, 0, -1) == scal(1, 0, -1)
 
 
+def test_scalar_rejects_non_finite():
+    for entries in [(math.nan, 0.0, 0.0), (0.0, math.inf, -1.0),
+                    (1.0, 0.0, -math.inf), (1.0, 2.0, math.nan)]:
+        with pytest.raises(ValueError):
+            AlgScalar(*entries)
+    # an overflowing product is refused too, not returned as inf
+    with pytest.raises(ValueError):
+        alg.mul(scal(1e200, 0, 1), scal(1e200, 0, 1))
+
+
 @given(reals, reals, reals, reals, reals, reals, deltas)
 def test_ring_axioms(a, b, c, d, e, f, delta):
     x, y, z = scal(a, b, delta), scal(c, d, delta), scal(e, f, delta)

@@ -106,6 +106,9 @@ NAN = float("nan")
     ["cells", "x"],
     ["limit", "--bogus"],
     ["cells", "3", "--out", "/nonexistent/dir/x.json"],
+    ["algebra", "mul", "--a", '{"re": NaN, "delta": 0}',
+     "--b", '{"re": 1, "delta": 0}'],
+    ["heis", "dev", "--grid=-1e308:1e308:3", "--input", REP],
 ])
 def test_invalid_input_exits_2(capsys, tmp_path, argv):
     if isinstance(argv[-1], dict):

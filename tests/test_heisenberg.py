@@ -152,6 +152,15 @@ def test_rep_rejects_non_finite(bad):
         HeisRep([bad, 0], [1, 0], [0, 1])
 
 
+@pytest.mark.parametrize("u, v", [
+    (np.nan, 0.0), (0.0, np.inf), (np.array([0.0, np.nan]), np.zeros(2)),
+    (1e200, 1e200),  # finite, but fx overflows
+])
+def test_developing_rejects_non_finite(u, v):
+    with pytest.raises(ValueError):
+        heis.developing_map(HeisRep([1, 1], [1, 1], [0, 1]), u, v)
+
+
 def test_developing_requires_holonomy():
     with pytest.raises(heis.NotHolonomy):
         heis.developing_map(HeisRep([1, 2], [0, 0], [0, 1]), 0.5, 0.5)

@@ -120,6 +120,22 @@ def test_decode_rejects_inconsistent():
         lim.decode_partition(LimitPoint(3, comp))
 
 
+@pytest.mark.parametrize("rel, ok", [(5e-10, True), (-5e-10, True),
+                                     (1e-8, False), (-1e-8, False)])
+def test_decode_in_block_tolerance(rel, ok):
+    # one block [1 : 0.5 : 0.25]; the (1, 2) ratio is off by rel relative
+    comp = {(0, 1): (1.0, 0.5), (0, 2): (1.0, 0.25),
+            (1, 2): (1.0, 0.5 * (1 + rel))}
+    L = LimitPoint(3, comp)
+    if ok:
+        P = lim.decode_partition(L)
+        assert P.blocks == [(0, 1, 2)]
+        assert np.allclose(P.block_points[0], [1.0, 0.5, 0.25])
+    else:
+        with pytest.raises(lim.Inconsistent):
+            lim.decode_partition(L)
+
+
 def test_eta_rejects_undecodable():
     comp = {(0, 1): (1.0, 0.0), (1, 2): (1.0, 0.0), (0, 2): (0.0, 1.0)}
     with pytest.raises(lim.Undecodable):

@@ -135,6 +135,70 @@ def test_u_lie_basis_delta_independent(n):
             assert np.array_equal(i0, i1)
 
 
+def svd_u_lie_basis(n):
+    """Reference basis: null space, by SVD, of the linear system
+    A^T Q + Q A = 0, Q B - B^T Q = 0 over the 2(n+1)^2 coordinates."""
+    m = n + 1
+    Q = np.eye(m)
+    Q[n, n] = -1.0
+    rows = []
+    for i in range(m):
+        for j in range(m):
+            rowA = np.zeros(2 * m * m)
+            rowB = np.zeros(2 * m * m)
+            for k in range(m):
+                rowA[k * m + i] += Q[k, j]
+                rowA[k * m + j] += Q[i, k]
+                rowB[m * m + k * m + j] += Q[i, k]
+                rowB[m * m + k * m + i] -= Q[k, j]
+            rows.append(rowA)
+            rows.append(rowB)
+    _, s, vt = np.linalg.svd(np.array(rows))
+    return vt[np.concatenate([s <= 1e-10 * s[0],
+                              np.ones(vt.shape[0] - len(s), bool)])]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_u_lie_basis_spans_null_space(n):
+    V = np.array([np.concatenate([X.re.ravel(), X.im.ravel()])
+                  for X in mat.u_lie_basis(n, 0.5)])
+    W = svd_u_lie_basis(n)
+    assert V.shape == W.shape == ((n + 1) ** 2, 2 * (n + 1) ** 2)
+    assert np.abs(V @ V.T - np.eye(len(V))).max() <= 1e-12
+    assert np.abs(V.T @ V - W.T @ W).max() <= 1e-12
+
+
+def operator_exp(X):
+    """Reference exponential: the same scaling, series and squaring,
+    written with AlgMatrix's operators."""
+    nrm = np.linalg.norm(mat.iota_delta(X))
+    k = 0
+    while nrm > 0.5:
+        nrm /= 2.0
+        k += 1
+    Y = X * (0.5 ** k)
+    term = AlgMatrix.identity(X.n, X.delta)
+    acc = AlgMatrix.identity(X.n, X.delta)
+    for m in range(1, 21):
+        term = term @ Y
+        term = term * (1.0 / m)
+        acc = acc + term
+    for _ in range(k):
+        acc = acc @ acc
+    return acc
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("delta", [-2.0, -1.0, 0.0, 1.0, 3.0])
+def test_exp_delta_matches_operator_series(n, delta):
+    for scale in (0.1, 1.0, 4.0):
+        X = random_matrix(n, delta, scale)
+        got, want = mat.exp_delta(X), operator_exp(X)
+        assert got.delta == want.delta
+        assert np.array_equal(got.re, want.re)
+        assert np.array_equal(got.im, want.im)
+
+
 def test_rr_to_unitary_homomorphism():
     Q = AlgMatrix.identity(3, 1.0)
     for _ in range(25):
