@@ -1,22 +1,31 @@
 """Cell combinatorics of the closure of the diagonal orthogonal groups.
 
 Cells are indexed by ordered set partitions of the coordinates together
-with a sign class (one sign per coordinate, modulo one global flip per
-block; canonically the first index of every block is +)."""
+with a sign class: one sign per coordinate, modulo one global flip per
+block, stored as a tuple indexed by coordinate whose first index of
+every block is +."""
 
 import itertools
 from math import comb
 
-from .limits import OrderedPartition, _split_one_block, flag_signature
+from .limits import _split_one_block, flag_signature
+
+# enumerate_cells' cap on n: n = 7 has 202,672 cells, n = 8 2,951,680
+MAX_CELLS_N = 7
 
 
 class Cell:
-    """An ordered set partition of {0..n-1} plus a canonical sign class."""
+    """An ordered set partition of {0..n-1} plus its sign class ``signs``,
+    a tuple of +-1 indexed by coordinate with + first in every block.
+    Signs are given indexable by coordinate; a block whose first sign is
+    - is flipped."""
 
     def __init__(self, blocks, signs):
         self.blocks = tuple(tuple(sorted(b)) for b in blocks)
-        signs = dict(signs) if not isinstance(signs, dict) else dict(signs)
-        canon = {}
+        cover = sorted(i for b in self.blocks for i in b)
+        if cover != list(range(len(cover))):
+            raise ValueError("blocks must partition the index set")
+        canon = [1] * len(cover)
         for b in self.blocks:
             flip = signs[b[0]] < 0
             for i in b:
@@ -24,21 +33,22 @@ class Cell:
                 if s not in (-1, 1):
                     raise ValueError("signs must be +-1")
                 canon[i] = s
-        self.signs = canon
-        cover = sorted(i for b in self.blocks for i in b)
-        if cover != list(range(len(cover))):
-            raise ValueError("blocks must partition the index set")
+        self.signs = tuple(canon)
 
     @property
     def n(self):
-        return sum(len(b) for b in self.blocks)
+        return len(self.signs)
 
     @property
     def dim(self):
         return self.n - len(self.blocks)
 
+    @property
+    def block_points(self):  # the signs of each block, for flag_signature
+        return [[self.signs[i] for i in b] for b in self.blocks]
+
     def key(self):
-        return (self.blocks, tuple(sorted(self.signs.items())))
+        return (self.blocks, self.signs)
 
     def __eq__(self, other):
         return self.key() == other.key()
@@ -49,13 +59,9 @@ class Cell:
     def __repr__(self):
         return "Cell({}, {})".format(self.blocks, self.signs)
 
-    def to_partition(self):
-        """The matching ordered partition, sign vectors as block points."""
-        pts = [[float(self.signs[i]) for i in b] for b in self.blocks]
-        return OrderedPartition(self.blocks, pts)
-
     def signature(self):
-        return flag_signature(self.to_partition())
+        """Positive and negative counts of each block's signs."""
+        return flag_signature(self)
 
 
 def simplex_cell_counts(n):
@@ -71,17 +77,13 @@ def closure_cell_counts(n):
     each k-simplex of the base carries a copy of the (n-k-1)-closure."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if n == 1:
-        return [1]
-    table = {0: [1], 1: [1]}
+    table = [[1], [1]]
     for m in range(2, n + 1):
         c = [0] * m
-        simp = [2 ** k * comb(m, k + 1) for k in range(m)]
-        for k in range(m):
-            fiber = table[m - k - 1]
-            for j, f in enumerate(fiber):
-                c[k + j] += simp[k] * f
-        table[m] = c
+        for k, simp in enumerate(simplex_cell_counts(m)):
+            for j, f in enumerate(table[m - k - 1]):
+                c[k + j] += simp * f
+        table.append(c)
     return table[n]
 
 
@@ -102,11 +104,13 @@ def enumerate_cells(n):
     """All cells: one per (ordered set partition, sign class)."""
     if n < 2:
         raise ValueError("need n >= 2")
+    if n > MAX_CELLS_N:
+        raise ValueError("cells needs n <= {}".format(MAX_CELLS_N))
     cells = []
     for blocks in _ordered_set_partitions(tuple(range(n))):
         free = [i for b in blocks for i in b[1:]]
         for signs in itertools.product((1, -1), repeat=len(free)):
-            assign = {i: 1 for b in blocks for i in b}
+            assign = [1] * n
             for i, s in zip(free, signs):
                 assign[i] = s
             cells.append(Cell(blocks, assign))

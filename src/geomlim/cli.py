@@ -167,15 +167,16 @@ def cmd_cells(args):
         return buf.getvalue()
     doc = {"counts": cells.closure_cell_counts(n), "cells": []}
     for c in all_cells:
+        F = c.signature()
         item = {
             "blocks": [list(b) for b in c.blocks],
-            "signs": [c.signs[i] for i in range(n)],
+            "signs": list(c.signs),
             "dim": c.dim,
-            "flag_signature": _signature_json(c.signature()),
+            "flag_signature": _signature_json(F),
         }
         if n == 3:
             try:
-                item["class_3d"] = limits.classify_limit_group_3d(c.signature())
+                item["class_3d"] = limits.classify_limit_group_3d(F)
             except limits.UnknownSignature:
                 pass
         doc["cells"].append(item)

@@ -68,8 +68,13 @@ def heis_log(g):
 
 
 def is_representation(r, tol=1e-10):
-    """The two generator images commute iff x1 y2 = x2 y1."""
-    return abs(r.bracket()) <= tol * r.scale()
+    """The two generator images commute iff x1 y2 = x2 y1, within tol
+    times the scale.  x and y are scaled by 2^k <= 1 / scale first, so no
+    product overflows, and the bound by 4^k, as the bracket is."""
+    s = r.scale()
+    k = -np.frexp(s)[1]
+    x, y = np.ldexp(r.x, k), np.ldexp(r.y, k)
+    return abs(x[0] * y[1] - x[1] * y[0]) <= np.ldexp(tol * s, 2 * k)
 
 
 def conjugate_rep(r, g, h):

@@ -146,30 +146,34 @@ class OrderedPartition:
         return "OrderedPartition({}, {})".format(self.blocks, self.block_points)
 
 
-class FlagSignature:
-    """Per-block sign counts: the first pair is kept ordered, later
-    pairs are normalized to p >= q."""
+class FlagSignature(tuple):
+    """Per-block sign counts, a tuple of (p, q) pairs: the first pair is
+    kept ordered, later pairs are normalized to p >= q."""
 
-    def __init__(self, pairs):
+    __slots__ = ()
+
+    def __new__(cls, pairs):
         pairs = [tuple(int(x) for x in p) for p in pairs]
         if any(p < 0 or q < 0 for p, q in pairs):
             raise ValueError("negative signature entry")
-        self.first = pairs[0]
-        self.rest = [(max(p, q), min(p, q)) for p, q in pairs[1:]]
+        return super().__new__(cls, pairs[:1] + [
+            (max(p, q), min(p, q)) for p, q in pairs[1:]])
 
     @property
     def pairs(self):
-        return [self.first] + self.rest
+        return list(self)
+
+    @property
+    def first(self):
+        return self[0]
+
+    @property
+    def rest(self):
+        return list(self[1:])
 
     @property
     def n(self):
-        return sum(p + q for p, q in self.pairs)
-
-    def __eq__(self, other):
-        return self.pairs == other.pairs
-
-    def __hash__(self):
-        return hash(tuple(self.pairs))
+        return sum(p + q for p, q in self)
 
     def __repr__(self):
         return "FlagSignature({})".format(self.pairs)
@@ -384,36 +388,26 @@ def encode_partition(P):
 
 def flag_signature(P):
     """Sign counts (positives, negatives) of each block's canonical point."""
-    pairs = []
-    for pt in P.block_points:
-        p = sum(1 for v in pt if v > 0)
-        q = sum(1 for v in pt if v < 0)
-        pairs.append((p, q))
-    return FlagSignature(pairs)
+    return FlagSignature((sum(v > 0 for v in pt), sum(v < 0 for v in pt))
+                         for pt in P.block_points)
+
+
+# The n = 3 limit groups by flag signature.
+CLASS_3D = {
+    ((3, 0),): "O(3)", ((2, 1),): "O(2,1)", ((1, 2),): "O(2,1)",
+    ((2, 0), (1, 0)): "Euc(2)^-T", ((1, 1), (1, 0)): "Mink^-T",
+    ((1, 0), (2, 0)): "Euc(2)", ((1, 0), (1, 1)): "Mink",
+    ((1, 0), (1, 0), (1, 0)): "Heis", ((0, 1), (1, 0), (1, 0)): "Heis",
+}
 
 
 def classify_limit_group_3d(F):
     """Name the n = 3 limit group from its flag signature."""
     if F.n != 3:
         raise UnknownSignature("classification is for n = 3 only")
-    pairs = F.pairs
-    if pairs == [(3, 0)]:
-        return "O(3)"
-    if pairs in ([(2, 1)], [(1, 2)]):
-        return "O(2,1)"
-    if len(pairs) == 2:
-        first, second = pairs
-        if first == (2, 0) and second == (1, 0):
-            return "Euc(2)^-T"
-        if first == (1, 1) and second == (1, 0):
-            return "Mink^-T"
-        if first == (1, 0) and second == (2, 0):
-            return "Euc(2)"
-        if first == (1, 0) and second == (1, 1):
-            return "Mink"
-    if len(pairs) == 3 and all(p + q == 1 for p, q in pairs):
-        return "Heis"
-    raise UnknownSignature("no n = 3 class for {}".format(pairs))
+    if F not in CLASS_3D:
+        raise UnknownSignature("no n = 3 class for {}".format(F.pairs))
+    return CLASS_3D[F]
 
 
 def is_limit_of(F, p, q):
@@ -455,7 +449,10 @@ def _split_signatures(F):
     consecutive nonempty sub-blocks (swaps permitted on non-initial
     pieces via the FlagSignature normalization)."""
     return [FlagSignature(pairs)
-            for pairs in _split_one_block(F.pairs, _split_pair)]
+            for pairs in _split_one_block(F, _split_pair)]
+
+
+MAX_POSET_N = 12  # limit_poset's cap on p + q; (6, 6) has 209k edges
 
 
 def limit_poset(p, q):
@@ -466,13 +463,19 @@ def limit_poset(p, q):
     its swaps are) gives a limit signature one level up."""
     if p < 1:
         raise ValueError("need p >= 1")
+    if p + q > MAX_POSET_N:
+        raise ValueError("poset needs p + q <= {}".format(MAX_POSET_N))
     root = FlagSignature([(p, q)])
     level, edges = {root}, set()
     while level:
+        # A split G of a limit F is a limit iff G.first[0] >= 1: orient
+        # both pieces of the split block as that block was oriented (the
+        # second piece of a split first block unswapped), and the block
+        # sums still reach (p, q); is_limit_of asks nothing more.
         new = {(F, G) for F in level for G in _split_signatures(F)
-               if is_limit_of(G, p, q)}
+               if G.first[0] >= 1}
         edges |= new
         level = {G for _, G in new}
     nodes = {root} | {G for _, G in edges}
-    return sorted(nodes, key=lambda f: (len(f.pairs), f.pairs)), sorted(
-        edges, key=lambda e: (len(e[0].pairs), e[0].pairs, e[1].pairs))
+    return sorted(nodes, key=lambda F: (len(F), F)), sorted(
+        edges, key=lambda e: (len(e[0]), *e))

@@ -363,20 +363,3 @@ def submersion_rank_check(A, Q, h=1e-6):
     s = np.linalg.svd(J, compute_uv=False)
     rank = int(np.sum(s > 1e-6))
     return rank == n * n
-
-
-def to_json_dict(A):
-    """Serialize as {n, delta, entries} with entries [re, im] pairs."""
-    return {
-        "n": A.n,
-        "delta": A.delta,
-        "entries": [[[A.re[i, j], A.im[i, j]] for j in range(A.n)]
-                    for i in range(A.n)],
-    }
-
-
-def from_json_dict(d):
-    ent = d["entries"]
-    re = [[e[0] for e in row] for row in ent]
-    im = [[e[1] for e in row] for row in ent]
-    return AlgMatrix(re, im, d["delta"])

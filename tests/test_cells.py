@@ -20,6 +20,9 @@ def test_closure_counts():
     assert cells.closure_cell_counts(3) == [6, 12, 4]
     assert cells.closure_cell_counts(4)[-1] == 8
     assert cells.closure_cell_counts(4) == [24, 72, 56, 8]
+    # the cells cap: n = 7 is allowed, n = 8 is not
+    assert sum(cells.closure_cell_counts(cells.MAX_CELLS_N)) == 202672
+    assert sum(cells.closure_cell_counts(cells.MAX_CELLS_N + 1)) == 2951680
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -49,6 +49,17 @@ def test_is_representation():
     assert not heis.is_representation(HeisRep([1, 0], [0, 1], [0, 0]))
 
 
+@pytest.mark.parametrize("x, y, commutes", [
+    ([1e300, 1e300], [1e300, 1e300], True),
+    ([1e300, -1e300], [1e300, 1e300], False),
+    ([1e300, 0], [0, 1e300], False),
+])
+def test_is_representation_near_overflow(x, y, commutes):
+    # x1 y2 - x2 y1 overflows near 1e300; the test must neither warn nor
+    # mistake parallel generators for non-commuting ones
+    assert heis.is_representation(HeisRep(x, y, [0, 1])) == commutes
+
+
 def test_conjugation_matches_matrix_conjugation():
     for _ in range(50):
         r = make_rep("shear")

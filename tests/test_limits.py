@@ -189,6 +189,11 @@ def test_flag_signature_normalization():
     assert F.pairs == [(1, 2), (2, 0), (1, 1)]
     assert F.n == 7
     assert F == FlagSignature([(1, 2), (2, 0), (1, 1)])
+    # a tuple of pairs, equal and hashed as one
+    assert F == ((1, 2), (2, 0), (1, 1)) and hash(F) == hash(tuple(F))
+    assert F.first == (1, 2) and F.rest == [(2, 0), (1, 1)]
+    with pytest.raises(ValueError):
+        FlagSignature([(1, -1)])
 
 
 def test_classify_3d_table():
@@ -273,3 +278,17 @@ def test_limit_poset_matches_brute_force(p, q):
                           for G in lim._split_signatures(F) if G in expected}
     for a, b in edges:
         assert len(b.pairs) == len(a.pairs) + 1
+
+
+def test_split_of_a_limit_is_a_limit_iff_its_first_pair_has_a_positive():
+    # limit_poset keeps a one-block split G of a limit when G.first[0] >= 1
+    # and makes no subset-sum test; check that against is_limit_of
+    children = 0
+    for n in range(1, 9):
+        for p in range(1, n + 1):
+            nodes, _ = lim.limit_poset(p, n - p)
+            for F in nodes:
+                for G in lim._split_signatures(F):
+                    assert lim.is_limit_of(G, p, n - p) == (G.first[0] >= 1)
+                    children += 1
+    assert children == 25720

@@ -297,11 +297,3 @@ def test_submersion_rank():
     assert not mat.submersion_rank_check(A, Q, h=0)
     Z = AlgMatrix(np.zeros((3, 3)), None, -1.0)
     assert not mat.submersion_rank_check(Z, Q)
-
-
-def test_json_roundtrip():
-    A = random_matrix(3, 0.5)
-    B = mat.from_json_dict(mat.to_json_dict(A))
-    assert np.array_equal(A.re, B.re)
-    assert np.array_equal(A.im, B.im)
-    assert A.delta == B.delta
