@@ -6,8 +6,8 @@ numbers, positive delta the split-complex numbers R+R.
 """
 
 import math
-
-import numpy as np
+import numbers
+import sys
 
 
 class DeltaMismatch(ValueError):
@@ -29,6 +29,21 @@ def kind(delta):
     if delta == 0:
         return "dual"
     return "split"
+
+
+# The builtin types numpy.isscalar accepts by exact type
+_SCALAR_TYPES = (float, int, bool, complex, str, bytes, memoryview)
+
+
+def _is_scalar(x):
+    """numpy.isscalar without importing numpy: a builtin scalar type, a
+    number, or a numpy scalar.  A numpy scalar can only exist once numpy
+    is loaded."""
+    if type(x) in _SCALAR_TYPES:
+        return True
+    np = sys.modules.get("numpy")
+    return (np is not None and isinstance(x, np.generic)) \
+        or isinstance(x, numbers.Number)
 
 
 class AlgScalar:
@@ -57,7 +72,7 @@ class AlgScalar:
         if isinstance(other, AlgScalar):
             self._check(other)
             return other
-        if np.isscalar(other):
+        if _is_scalar(other):
             return AlgScalar(other, 0.0, self.delta)
         return None
 

@@ -5,6 +5,9 @@ Subcommands: limit, poset, cells, heis, regen, algebra.  Exit codes:
 The library raises a ValueError for input outside its domain; ``run`` is
 the one place that turns it into exit 2, and the one place that writes
 command output.
+
+numpy and the library modules are imported by the functions that use
+them, so ``poset``, ``cells`` and ``algebra`` run without loading numpy.
 """
 
 import argparse
@@ -13,10 +16,6 @@ import json
 import re
 import sys
 from fractions import Fraction
-
-import numpy as np
-
-from . import algebra, cells, heisenberg, limits, regeneration
 
 _TERM = re.compile(
     r"^\s*(?:(?P<coeff>[+-]?\d+(?:\.\d+)?)\s*\*?\s*)?"
@@ -37,6 +36,8 @@ class _Parser(argparse.ArgumentParser):
 def parse_monomial_path(text):
     """Parse 'c*t^e' terms, comma separated; coefficients default to 1,
     exponents are rational p/q."""
+    from . import limits
+
     entries = []
     for term in text.split(","):
         mt = _TERM.match(term)
@@ -54,6 +55,8 @@ def parse_monomial_path(text):
 
 
 def parse_grid(text, log=False):
+    import numpy as np
+
     try:
         a, b, n = text.split(":")
         a, b, n = float(a), float(b), int(n)
@@ -95,6 +98,8 @@ def _partition_json(P):
 
 
 def cmd_limit(args):
+    from . import limits
+
     if args.path:
         path = parse_monomial_path(args.path)
     elif not args.form:
@@ -133,6 +138,8 @@ def _sig_label(F):
 
 
 def cmd_poset(args):
+    from . import limits
+
     nodes, edges = limits.limit_poset(args.p, args.q)
     index = {F: i for i, F in enumerate(nodes)}
     if args.format == "dot":
@@ -151,6 +158,8 @@ def cmd_poset(args):
 
 
 def cmd_cells(args):
+    from . import cells, limits
+
     n = args.n
     all_cells = cells.enumerate_cells(n)
     if args.poset:
@@ -184,6 +193,10 @@ def cmd_cells(args):
 
 
 def cmd_heis(args):
+    import numpy as np
+
+    from . import heisenberg
+
     r = _read_json(lambda d: heisenberg.HeisRep(d["x"], d["y"], d["z"]),
                    path=args.input)
     if args.heis_cmd == "classify":
@@ -221,6 +234,8 @@ def cmd_heis(args):
 def _regen_job(doc):
     """Kind, conjugator path, parallelogram and t grid (None when absent)
     of a regen document.  t is passed on as given, so it prints as given."""
+    from . import regeneration
+
     kind, D_path, t_grid = doc["kind"], doc["D_path"], doc.get("t_grid")
     if not (isinstance(kind, str) and isinstance(D_path, str)):
         raise TypeError("kind and D_path must be strings")
@@ -232,6 +247,10 @@ def _regen_job(doc):
 
 
 def cmd_regen(args):
+    import numpy as np
+
+    from . import regeneration
+
     kind, D_path, Q, t_grid = _read_json(_regen_job, path=args.input)
     if t_grid is None:
         if not args.grid:
@@ -264,6 +283,8 @@ def cmd_regen(args):
 
 
 def _scalar(doc):
+    from . import algebra
+
     return algebra.AlgScalar(doc["re"], doc.get("im", 0.0), doc["delta"])
 
 
@@ -272,6 +293,8 @@ def _scalar_json(x):
 
 
 def cmd_algebra(args):
+    from . import algebra
+
     op = args.op
     if op == "idempotents":
         if args.delta is None:

@@ -40,7 +40,11 @@ class HeisRep:
             tuple(self.x), tuple(self.y), tuple(self.z))
 
     def bracket(self):
-        return self.x[0] * self.y[1] - self.x[1] * self.y[0]
+        """x1 y2 - x2 y1, computed without overflow in its products; a
+        bracket past the float range is inf."""
+        b, k = _scaled_bracket(self)
+        with np.errstate(over="ignore"):
+            return np.ldexp(b, -k)
 
     def scale(self):
         return max(np.abs(np.concatenate([self.x, self.y, self.z])).max(), 1.0)
@@ -67,14 +71,22 @@ def heis_log(g):
     return (x, y, g[0, 2] - 0.5 * x * y)
 
 
+def _scaled_bracket(r):
+    """x1 y2 - x2 y1 for x and y each scaled down by a power of two to
+    entries below 1, 2^a x and 2^b y, and k = a + b: no product
+    overflows, and the result is 2^k times the bracket.  Scaling each
+    vector on its own keeps a small y from underflowing against a large
+    x or z."""
+    a, b = (min(0, -np.frexp(np.abs(v).max())[1]) for v in (r.x, r.y))
+    x, y = np.ldexp(r.x, a), np.ldexp(r.y, b)
+    return x[0] * y[1] - x[1] * y[0], a + b
+
+
 def is_representation(r, tol=1e-10):
     """The two generator images commute iff x1 y2 = x2 y1, within tol
-    times the scale.  x and y are scaled by 2^k <= 1 / scale first, so no
-    product overflows, and the bound by 4^k, as the bracket is."""
-    s = r.scale()
-    k = -np.frexp(s)[1]
-    x, y = np.ldexp(r.x, k), np.ldexp(r.y, k)
-    return abs(x[0] * y[1] - x[1] * y[0]) <= np.ldexp(tol * s, 2 * k)
+    times the scale; the bound is scaled by 2^k, as the bracket is."""
+    b, k = _scaled_bracket(r)
+    return abs(b) <= np.ldexp(tol * r.scale(), k)
 
 
 def conjugate_rep(r, g, h):

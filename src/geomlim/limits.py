@@ -4,12 +4,17 @@ A diagonal form path diag(c_i t^{e_i}) determines, as t -> +infinity, a
 point of a torus of projective lines (one per coordinate pair), which
 decodes into an ordered partition of the coordinates by vanishing rate.
 The limit Lie algebra is rebuilt line by line from that point.
+
+The combinatorial half (paths, limit points, partitions, signatures, the
+poset) is plain Python; numpy is imported by the numeric functions that
+use it (``evaluate``, ``LieSubspace``, ``so_basis``,
+``conjugacy_to_form_path``, ``eta``), so ``cells`` and ``limit_poset``
+run without it.
 """
 
 import itertools
+import math
 from fractions import Fraction
-
-import numpy as np
 
 
 class ZeroEigenvalue(ValueError):
@@ -39,7 +44,7 @@ class MonomialDiagonal:
         self.entries = [(float(c), Fraction(e)) for c, e in entries]
         if any(c == 0 for c, _ in self.entries):
             raise ZeroEigenvalue("zero coefficient in diagonal path")
-        if not np.isfinite([c for c, _ in self.entries]).all():
+        if not all(math.isfinite(c) for c, _ in self.entries):
             raise ValueError("path coefficients must be finite")
         if len(self.entries) < 2:
             raise ValueError("need at least two diagonal entries")
@@ -51,8 +56,10 @@ class MonomialDiagonal:
     def evaluate(self, t):
         """The diagonal at a finite t > 0; an entry that overflows or
         underflows the float range is an error, not inf or 0."""
+        import numpy as np
+
         t = float(t)
-        if not 0 < t < np.inf:
+        if not 0 < t < math.inf:
             raise ValueError(
                 "t must be finite and positive, got {!r}".format(t))
         try:
@@ -128,7 +135,7 @@ class OrderedPartition:
                 raise ValueError("point size does not match block size")
             if any(x == 0 for x in p):
                 raise ValueError("block point entries must be nonzero")
-            k = int(np.argmax(np.abs(p)))
+            k = max(range(len(p)), key=lambda i: abs(p[i]))
             self.block_points.append(tuple(x / p[k] for x in p))
         cover = sorted(i for b in self.blocks for i in b)
         if cover != list(range(len(cover))) or len(cover) != self.n:
@@ -183,6 +190,8 @@ class LieSubspace:
     """A subspace of n x n matrices with an orthonormalized basis."""
 
     def __init__(self, basis):
+        import numpy as np
+
         self.basis = [np.array(b, dtype=float) for b in basis]
         self.n = self.basis[0].shape[0]
         cols = []
@@ -202,6 +211,8 @@ class LieSubspace:
     def principal_angle_distance(self, other):
         """Largest principal angle to another subspace (sine-based, so it
         is accurate near zero)."""
+        import numpy as np
+
         if self.onb.shape != other.onb.shape:
             return np.pi / 2
         resid = other.onb - self.onb @ (self.onb.T @ other.onb)
@@ -209,6 +220,8 @@ class LieSubspace:
         return float(np.arcsin(min(1.0, s[0] if len(s) else 0.0)))
 
     def bracket_closure_residual(self):
+        import numpy as np
+
         worst = 0.0
         for a, b in itertools.combinations(self.basis, 2):
             c = a @ b - b @ a
@@ -221,6 +234,8 @@ class LieSubspace:
 def so_basis(J):
     """Basis of the Lie algebra preserving the diagonal form J:
     one element J_j e_ij - J_i e_ji per pair i < j."""
+    import numpy as np
+
     J = np.asarray(J, dtype=float)
     if np.any(J == 0):
         raise ZeroEigenvalue("form has a zero diagonal entry")
@@ -238,6 +253,8 @@ def conjugacy_to_form_path(C, J):
     """Replace conjugation of the orthogonal group by a diagonal path with
     a path of diagonal forms: D O(J) D^-1 = O(D^-T J D^-1) gives entries
     (J_i c_i^-2, -2 e_i)."""
+    import numpy as np
+
     J = np.asarray(J, dtype=float)
     if len(J) != C.n:
         raise DimensionMismatch("form and path sizes differ")
@@ -271,6 +288,8 @@ def eta(L):
         decode_partition(L)
     except Inconsistent as exc:
         raise Undecodable(str(exc)) from None
+    import numpy as np
+
     basis = []
     n = L.n
     for (i, j), (x, y) in sorted(L.components.items()):

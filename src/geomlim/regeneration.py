@@ -129,9 +129,13 @@ def _frame(kind, p, q):
     sigma = -1.0 if kind == "hyperbolic" else 1.0
     B = np.diag([1.0, 1.0, sigma])
     u0 = _lift(kind, p)
-    w = _lift(kind, q)
-    # subtract the u0 component of w with respect to the form
-    t = w - ((w @ B @ u0) / (u0 @ B @ u0)) * u0
+    # The tangent is (q, 1) - (1 - s)(p, 1) = (d + s p, s), d = q - p,
+    # with s = -p.d / (sigma + |p|^2) making it B-orthogonal to (p, 1).
+    # Projecting the lift of q off u0 instead subtracts two vectors that
+    # agree to about |d|, which cancels once the model points are tiny.
+    d = q - p
+    s = -(p @ d) / (sigma + p @ p)
+    t = np.array([d[0] + s * p[0], d[1] + s * p[1], s])
     n = t @ B @ t
     if n <= 0:
         raise OutsideDomain("coincident endpoints")

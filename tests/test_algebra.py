@@ -131,3 +131,39 @@ def test_dunder_arithmetic_matches_functions():
     assert close(x + y, scal(4, 1, -1.0))
     assert close(x - y, scal(-2, 3, -1.0))
     assert close(2.0 * x, scal(2, 4, -1.0))
+
+
+def _numpy_coerce(self, other):
+    """AlgScalar._coerce as it was written with numpy.isscalar."""
+    np = pytest.importorskip("numpy")
+    if isinstance(other, AlgScalar):
+        self._check(other)
+        return other
+    if np.isscalar(other):
+        return AlgScalar(other, 0.0, self.delta)
+    return None
+
+
+def _outcome(fn):
+    try:
+        r = fn()
+    except Exception as exc:  # the exception type is part of the outcome
+        return type(exc)
+    return (r.re, r.im, r.delta) if isinstance(r, AlgScalar) else r
+
+
+def test_coercion_matches_numpy_isscalar(monkeypatch):
+    np = pytest.importorskip("numpy")
+    x = scal(1.5, -2, -1.0)
+    operands = [3, True, 0.25, 1 + 2j, np.float64(2.5), np.int64(-4), "1.5",
+                np.array(2.0), [1.0]]
+    ops = [lambda o: x + o, lambda o: o + x, lambda o: x * o,
+           lambda o: o * x, lambda o: x == o]
+    got = [[_outcome(lambda: op(o)) for op in ops] for o in operands]
+    monkeypatch.setattr(AlgScalar, "_coerce", _numpy_coerce)
+    want = [[_outcome(lambda: op(o)) for op in ops] for o in operands]
+    assert got == want
+    # the outcomes themselves: numbers and numeric strings coerce, the
+    # rest is refused or compared by identity
+    assert got[0][0] == (4.5, -2.0, -1.0) and got[6][0] == (3.0, -2.0, -1.0)
+    assert got[3][0] is TypeError and got[8][0] is TypeError

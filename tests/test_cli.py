@@ -2,6 +2,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -259,6 +262,134 @@ def test_combinatorics_output_unchanged(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of stdout for the help texts and the README examples, recorded
+# before the library modules and numpy were imported lazily.  argparse
+# lays out help differently across Python versions (and by COLUMNS);
+# the help digests are those of Python 3.11 at 80 columns.
+README_REP = '{"x":[0,0],"y":[1,0],"z":[0,1]}'
+HELP_DIGESTS = [
+    (["-h"],
+     "fd46fe9dd667bb7992970bc23a66bf1031158a3d1c6889d169b22dc5ff3cfd3c"),
+    (["limit", "--help"],
+     "5c4234be8a766a234a7e14b06ad92c658b8151ae4dfbc21042b039e0d34f24c8"),
+    (["poset", "--help"],
+     "9231153fda085385e4882e636f47f53cb2157d6f812a484959c2f904b75f9a73"),
+    (["cells", "--help"],
+     "d5eb182c53b732348b93d75b8da954fce4c9136be2351e07483036e90cfe39a1"),
+    (["heis", "--help"],
+     "7a76c1d45f55b1ee3d0fbde7f941535d94909da9b39bd31f8e47601f141bd843"),
+    (["regen", "--help"],
+     "b37c5f39eb821ad56df9a6a9198b2796ab0f7a76026188e316d642c5b3f63e00"),
+    (["algebra", "--help"],
+     "39bdfa8746c67aa6324a9b214daea5d7fc55e23cb26a89168827c4a78179d1da"),
+]
+README_DIGESTS = [
+    (["limit", "--form", "1,1,1", "--conj", "t^2,t,1"], "",
+     "ecf355f25f642a794e4a083a2c093c87f418c216d650d888f27eee254762fd2c"),
+    (["limit", "--form", "1,1,-1", "--conj", "1,1,t^1/2", "--reverse"], "",
+     "fe2066052683ab09bec3b2e1d1b00791550bd07bf59cbd4f5d01ac586aea9671"),
+    (["heis", "classify"], README_REP,
+     "06d5833848c055809dc5871ba62032ac5c13582d9009e8a7575f08672f057bf4"),
+    (["algebra", "mul", "--a", '{"re":1,"im":2,"delta":-1}',
+      "--b", '{"re":3,"im":-1,"delta":-1}'], "",
+     "6040ed6c235ac86a8b08db0b2b1d199a956f8cf8468b3747d33ffa8c25d77caa"),
+    (["algebra", "idempotents", "--delta", "1"], "",
+     "8ba8f3534d406d1f3ccadae4982528f9672bebfcb70b27a3d7823c38d7fc5cf8"),
+]
+PY311 = pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                           reason="help digests are of Python 3.11")
+
+
+@pytest.mark.parametrize("argv, stdin, digest", [
+    *(pytest.param(argv, "", digest, marks=PY311)
+      for argv, digest in HELP_DIGESTS),
+    *README_DIGESTS,
+])
+def test_help_and_readme_output_unchanged(capsys, monkeypatch, argv, stdin,
+                                          digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_regen_square_limit_is_the_translation(capsys, tmp_path):
+    # The square of side 0.1: A carries the bottom side to the top one,
+    # so its limit is the translation by (0, 0.1).
+    f = tmp_path / "square.json"
+    f.write_text(json.dumps(dict(
+        JOB, vertices=[[-0.05, -0.05], [0.05, -0.05], [0.05, 0.05],
+                       [-0.05, 0.05]])))
+    code, out, _ = run(capsys, "regen", "--input", str(f),
+                       "--grid", "1:4:4", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    want = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.1], [0.0, 0.0, 1.0]]
+    for got_row, want_row in zip(doc["A_inf"], want, strict=True):
+        for got, expected in zip(got_row, want_row, strict=True):
+            assert abs(got - expected) <= 1e-12
+    assert doc["limit_in_heis"] is True
+
+
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+out = {}
+import geomlim
+out["geomlim"] = "numpy" in sys.modules
+import geomlim.cli
+out["geomlim.cli"] = "numpy" in sys.modules
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = geomlim.cli.run(argv)
+    out[" ".join(argv)] = [code, "numpy" in sys.modules]
+print(json.dumps(out))
+"""
+
+
+def _python(code, *args):
+    """stdout of a fresh interpreter running code against this checkout."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def _probe(*argvs):
+    return json.loads(_python(IMPORT_PROBE, json.dumps(argvs)))
+
+
+def test_combinatorics_and_algebra_do_not_import_numpy():
+    got = _probe(["poset", "1", "3"], ["cells", "3", "--poset"],
+                 ["algebra", "mul", "--a", '{"re":1,"im":2,"delta":-1}',
+                  "--b", '{"re":3,"im":-1,"delta":-1}'],
+                 ["algebra", "idempotents", "--delta", "1"])
+    assert got == {
+        "geomlim": False, "geomlim.cli": False,
+        "poset 1 3": [0, False], "cells 3 --poset": [0, False],
+        'algebra mul --a {"re":1,"im":2,"delta":-1} '
+        '--b {"re":3,"im":-1,"delta":-1}': [0, False],
+        "algebra idempotents --delta 1": [0, False],
+    }
+    # the numeric commands do load it
+    got = _probe(["limit", "--form", "1,1,-1", "--conj", "t^2,t,1"])
+    assert got["limit --form 1,1,-1 --conj t^2,t,1"] == [0, True]
+
+
+def test_package_attributes_load_on_first_use():
+    code = ("import sys, geomlim; "
+            "listed = 'regeneration' in dir(geomlim); "
+            "lazy = 'geomlim.regeneration' not in sys.modules; "
+            "from geomlim import *; "
+            "print(listed, lazy, geomlim.limits.__name__, "
+            "regeneration.__name__, geomlim.__version__)")
+    assert _python(code).split() == [
+        "True", "True", "geomlim.limits", "geomlim.regeneration", "0.1.0"]
+    import geomlim
+    with pytest.raises(AttributeError):
+        getattr(geomlim, "no_such_module")
 
 
 FUZZ_DOCS = {

@@ -189,3 +189,15 @@ def test_teichmuller_idempotent_and_flip():
         # the outer flip lands on the same canonical point
         c3 = heis.teichmuller_coords(heis.outer_flip(r))
         assert np.allclose((c.x, c.y, c.z), (c3.x, c3.y, c3.z), atol=1e-12)
+
+
+def test_bracket_near_overflow():
+    # the products overflow near 1e300; the bracket is scaled as in
+    # is_representation, so it neither warns nor loses parallel vectors
+    assert heis.HeisRep([1e300, 1e300], [1e300, 1e300], [0, 1]).bracket() \
+        == 0.0
+    assert heis.HeisRep([1e300, 0], [0, 1e-300], [0, 1]).bracket() == 1.0
+    # power-of-two scaling is exact: ordinary inputs give the plain formula
+    for _ in range(50):
+        r = HeisRep(*rng.standard_normal((3, 2)) * 10.0)
+        assert r.bracket() == r.x[0] * r.y[1] - r.x[1] * r.y[0]

@@ -141,6 +141,40 @@ def test_side_pairing_preserves_form(kind):
     assert np.abs(B.T @ F @ B - F).max() <= 1e-12
 
 
+SHAPES = {
+    "square": [(-0.05, -0.05), (0.05, -0.05), (0.05, 0.05), (-0.05, 0.05)],
+    "diamond": [(0.1, 0.0), (0.0, 0.1), (-0.1, 0.0), (0.0, -0.1)],
+    "skew": [(-0.3, -0.2), (0.1, -0.25), (0.3, 0.2), (-0.1, 0.25)],
+}
+
+
+@pytest.mark.parametrize("kind", ["hyperbolic", "sphere"])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("t", [10.0, 1e3, 1e6])
+def test_side_pairing_oracle_at_large_t(kind, shape, t):
+    # The defining property at 50 digits: A carries (v1, v2) to (v4, v3)
+    # and B carries (v2, v3) to (v1, v4), as isometries of the model.
+    # At t = 1e6 the square's side is ~1e-13 in the model.
+    mp = pytest.importorskip("mpmath")
+    m = ModelParam(kind, (t * t, t, 1.0))
+    Q = Parallelogram(SHAPES[shape])
+    A, B = regen.side_pairing(m, Q)
+    V = [[mp.mpf(float(x)) for x in v] for v in Q.vertices]
+    with mp.workdps(50):
+        D = [mp.mpf(float(d)) for d in m.D]
+        form = mp.diag([1, 1, -1 if kind == "hyperbolic" else 1])
+        for M, pairs in ((A, ((0, 3), (1, 2))), (B, ((1, 0), (2, 3)))):
+            M = mp.matrix([[mp.mpf(float(x)) for x in row] for row in M])
+            for i, j in pairs:
+                w = M * mp.matrix([V[i][0], V[i][1], 1])
+                err = mp.hypot(w[0] / w[2] - V[j][0], w[1] / w[2] - V[j][1])
+                assert err <= 1e-12 * mp.hypot(*V[j])
+            # the model isometry D^-1 M D, scaled to determinant 1
+            G = mp.diag([1 / d for d in D]) * M * mp.diag(D)
+            G = G / mp.cbrt(mp.det(G))
+            assert mp.mnorm(G.T * form * G - form, 1) <= 1e-12
+
+
 def test_side_pairing_outside_domain():
     m = ModelParam("hyperbolic")
     with pytest.raises(regen.OutsideDomain):
