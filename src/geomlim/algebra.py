@@ -7,7 +7,6 @@ numbers, positive delta the split-complex numbers R+R.
 
 import math
 import numbers
-import sys
 
 
 class DeltaMismatch(ValueError):
@@ -31,25 +30,13 @@ def kind(delta):
     return "split"
 
 
-# The builtin types numpy.isscalar accepts by exact type
-_SCALAR_TYPES = (float, int, bool, complex, str, bytes, memoryview)
-
-
-def _is_scalar(x):
-    """numpy.isscalar without importing numpy: a builtin scalar type, a
-    number, or a numpy scalar.  A numpy scalar can only exist once numpy
-    is loaded."""
-    if type(x) in _SCALAR_TYPES:
-        return True
-    np = sys.modules.get("numpy")
-    return (np is not None and isinstance(x, np.generic)) \
-        or isinstance(x, numbers.Number)
-
-
 class AlgScalar:
     """An element re + lambda*im of the algebra with lambda^2 = delta."""
 
     __slots__ = ("re", "im", "delta")
+    # numpy operands defer to the methods below, so an array or np.bool_
+    # on the left is refused as it is on the right
+    __array_ufunc__ = None
 
     def __init__(self, re, im=0.0, delta=0.0):
         self.re = float(re)
@@ -69,19 +56,21 @@ class AlgScalar:
                 "delta mismatch: {} vs {}".format(self.delta, other.delta))
 
     def _coerce(self, other):
+        """other in this algebra: an AlgScalar of the same delta, or a
+        real number (numbers.Real) as re + lambda*0."""
         if isinstance(other, AlgScalar):
             self._check(other)
             return other
-        if _is_scalar(other):
+        if isinstance(other, numbers.Real):
             return AlgScalar(other, 0.0, self.delta)
-        return None
+        raise TypeError("expected a scalar or AlgScalar")
 
     def __eq__(self, other):
         if isinstance(other, AlgScalar) and other.delta != self.delta:
             return False
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, (AlgScalar, numbers.Real)):
             return NotImplemented
+        other = self._coerce(other)
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
@@ -89,8 +78,6 @@ class AlgScalar:
 
     def __add__(self, other):
         other = self._coerce(other)
-        if other is None:
-            raise TypeError("expected a scalar or AlgScalar")
         return AlgScalar(self.re + other.re, self.im + other.im, self.delta)
 
     __radd__ = __add__
@@ -99,24 +86,18 @@ class AlgScalar:
         return AlgScalar(-self.re, -self.im, self.delta)
 
     def __sub__(self, other):
-        return self.__add__(-self._coerce(other))
+        return self + -self._coerce(other)
 
     def __rsub__(self, other):
-        return (-self).__add__(self._coerce(other))
+        return -self + self._coerce(other)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            raise TypeError("expected a scalar or AlgScalar")
-        return mul(self, other)
+        return mul(self, self._coerce(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            raise TypeError("expected a scalar or AlgScalar")
-        return mul(self, inv(other))
+        return mul(self, inv(self._coerce(other)))
 
 
 def mul(x, y):

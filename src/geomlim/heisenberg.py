@@ -82,11 +82,11 @@ def _scaled_bracket(r):
     return x[0] * y[1] - x[1] * y[0], a + b
 
 
-def is_representation(r, tol=1e-10):
-    """The two generator images commute iff x1 y2 = x2 y1, within tol
+def is_representation(r):
+    """The two generator images commute iff x1 y2 = x2 y1, within 1e-10
     times the scale; the bound is scaled by 2^k, as the bracket is."""
     b, k = _scaled_bracket(r)
-    return abs(b) <= np.ldexp(tol * r.scale(), k)
+    return abs(b) <= np.ldexp(1e-10 * r.scale(), k)
 
 
 def conjugate_rep(r, g, h):
@@ -116,7 +116,7 @@ def normalize(r):
     return HeisRep(x, y, z)
 
 
-def classify(r, rank_tol=1e-10):
+def classify(r):
     """Sort a representation into its conjugation-invariant class.
 
     Central: x = y = 0.  NotFaithful: the 2x3 coordinate matrix has rank
@@ -130,7 +130,7 @@ def classify(r, rank_tol=1e-10):
     M = np.array([[r.x[0], r.y[0], r.z[0]],
                   [r.x[1], r.y[1], r.z[1]]])
     sv = np.linalg.svd(M, compute_uv=False)
-    if sv[1] <= rank_tol * (sv[0] + 1.0):
+    if sv[1] <= 1e-10 * (sv[0] + 1.0):
         return ("NotFaithful", None)
     if np.abs(r.y).max() <= 1e-12 * sc:
         return ("FaithfulNotFree", None)

@@ -219,10 +219,10 @@ def is_unitary(A, Q, tol=1e-9):
     return R.max_abs() <= tol
 
 
-def is_stabilizer(A, Q, tol=1e-9):
+def is_stabilizer(A, Q):
     """Is the Q-unitary A block diagonal diag(B, u) with u of unit norm,
-    i.e. in the stabilizer of the last coordinate line?"""
-    if not is_unitary(A, Q, max(tol, 1e-9)):
+    within 1e-9, i.e. in the stabilizer of the last coordinate line?"""
+    if not is_unitary(A, Q):
         raise NotUnitary("matrix does not preserve the form")
     n = A.n - 1
     off = max(
@@ -232,7 +232,7 @@ def is_stabilizer(A, Q, tol=1e-9):
         np.abs(A.im[:n, n]).max(initial=0.0),
     )
     u = A.entry(n, n)
-    return off <= tol and abs(algebra.norm(u) - 1.0) <= tol
+    return off <= 1e-9 and abs(algebra.norm(u) - 1.0) <= 1e-9
 
 
 def u_lie_basis(n, delta):
@@ -271,9 +271,9 @@ def rr_to_unitary(X, n=None):
     return AlgMatrix(0.5 * (X + Y), 0.5 * (X - Y), 1.0)
 
 
-def reps_eps_decompose(M, Q, tol=1e-8):
+def reps_eps_decompose(M, Q):
     """Split a dual-number matrix M = X + eY and test membership in the
-    unitary group of Q: X^T Q X = Q and X^T Q Y symmetric."""
+    unitary group of Q: X^T Q X = Q and X^T Q Y symmetric, within 1e-8."""
     if M.delta != 0:
         raise DeltaMismatch("expected delta = 0")
     X, Y = M.re, M.im
@@ -281,7 +281,7 @@ def reps_eps_decompose(M, Q, tol=1e-8):
     r1 = np.abs(X.T @ Qr @ X - Qr).max()
     S = X.T @ Qr @ Y
     r2 = np.abs(S - S.T).max()
-    return X, Y, bool(r1 <= tol and r2 <= tol)
+    return X, Y, bool(r1 <= 1e-8 and r2 <= 1e-8)
 
 
 def point_hyperplane_complete(phi, v):
@@ -305,42 +305,36 @@ def point_hyperplane_complete(phi, v):
     return Qm @ Ainv
 
 
-def pairing_coordinate_change(z_re, z_im, flip_last=True):
+def pairing_coordinate_change(z_re, z_im):
     """From split-algebra coordinates x + lambda*y to dual-pairing
     coordinates (phi, v) = (x+y, x-y).
 
-    With flip_last set (the default) the v side of the first n coordinates
-    is negated so that the radius -1 sphere of the (n,1) Hermitian form maps
-    onto the level set phi.v = 1."""
+    The v side of the first n coordinates is negated so that the radius
+    -1 sphere of the (n,1) Hermitian form maps onto the level set
+    phi.v = 1."""
     x = np.asarray(z_re, dtype=float)
     y = np.asarray(z_im, dtype=float)
-    phi = x + y
     v = x - y
-    if flip_last:
-        v = v.copy()
-        v[:-1] *= -1.0
-    return phi, v
+    v[:-1] *= -1.0
+    return x + y, v
 
 
-def pairing_coordinate_change_inverse(phi, v, flip_last=True):
+def pairing_coordinate_change_inverse(phi, v):
     """Inverse of pairing_coordinate_change."""
     phi = np.asarray(phi, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if flip_last:
-        v = v.copy()
-        v[:-1] *= -1.0
+    v = np.array(v, dtype=float)
+    v[:-1] *= -1.0
     return 0.5 * (phi + v), 0.5 * (phi - v)
 
 
-def submersion_rank_check(A, Q, h=1e-6):
+def submersion_rank_check(A, Q):
     """Finite-difference rank test of X -> dagger(X) Q X at A.
 
-    Central differences along all 2n^2 real coordinate directions; true
-    when the difference vectors span the n^2-dimensional space of Hermitian
-    matrices over the algebra."""
+    Central differences of step 1e-6 along all 2n^2 real coordinate
+    directions; true when the difference vectors span the n^2-dimensional
+    space of Hermitian matrices over the algebra."""
     n = A.n
-    if h == 0:
-        return False
+    h = 1e-6
 
     def f(M):
         H = dagger(M) @ Q @ M

@@ -3,22 +3,20 @@ regeneration.
 
 All three plane geometries are handled in one affine patch: a diagonal
 conjugator D = diag(d1, d2, 1) carries the fixed Klein disk / projective
-sphere / Euclidean plane to the working model.  Side pairings of
-origin-centered parallelograms are built by frame transport on the
-quadric and traced as the conjugator diverges."""
+sphere / Euclidean plane to the working model.  A side pairing of an
+origin-centered parallelogram is the half-turn about the origin after
+the half-turn about the midpoint of its side, one formula in all three
+models; the pairings are traced as the conjugator diverges."""
 
 import math
 
 import numpy as np
 
 KINDS = ("hyperbolic", "sphere", "euclidean")
+CURVATURE = {"hyperbolic": -1.0, "sphere": 1.0, "euclidean": 0.0}
 
 
 class OutsideDomain(ValueError):
-    pass
-
-
-class SideLengthMismatch(ValueError):
     pass
 
 
@@ -123,85 +121,48 @@ class Parallelogram:
         return [(V[i], V[(i + 1) % 4]) for i in range(4)]
 
 
-def _frame(kind, p, q):
-    """Positively oriented orthonormal frame (for the form diag(1,1,s))
-    at model point p, first tangent vector aimed at q."""
-    sigma = -1.0 if kind == "hyperbolic" else 1.0
-    B = np.diag([1.0, 1.0, sigma])
-    u0 = _lift(kind, p)
-    # The tangent is (q, 1) - (1 - s)(p, 1) = (d + s p, s), d = q - p,
-    # with s = -p.d / (sigma + |p|^2) making it B-orthogonal to (p, 1).
-    # Projecting the lift of q off u0 instead subtracts two vectors that
-    # agree to about |d|, which cancels once the model points are tiny.
-    d = q - p
-    s = -(p @ d) / (sigma + p @ p)
-    t = np.array([d[0] + s * p[0], d[1] + s * p[1], s])
-    n = t @ B @ t
-    if n <= 0:
-        raise OutsideDomain("coincident endpoints")
-    u1 = t / math.sqrt(n)
-    u2 = np.linalg.solve(B, np.cross(u0, u1))
-    u2 = u2 / math.sqrt(u2 @ B @ u2)
-    F = np.column_stack([u0, u1, u2])
-    if np.linalg.det(F) < 0:
-        F[:, 2] = -F[:, 2]
-    return F
-
-
-def _segment_isometry(kind, a, b, c, d):
-    """The orientation-preserving model isometry taking segment (a, b) to
-    (c, d) endpoint-to-endpoint (model coordinates)."""
-    if kind == "euclidean":
-        th = math.atan2(*(d - c)[::-1]) - math.atan2(*(b - a)[::-1])
-        R = np.array([[math.cos(th), -math.sin(th)],
-                      [math.sin(th), math.cos(th)]])
-        t = c - R @ a
-        G = np.eye(3)
-        G[:2, :2] = R
-        G[:2, 2] = t
-        return G
-    sigma = -1.0 if kind == "hyperbolic" else 1.0
-    J = np.diag([sigma, 1.0, 1.0])
-    B = np.diag([1.0, 1.0, sigma])
-    F1 = _frame(kind, a, b)
-    F2 = _frame(kind, c, d)
-    # F1^-1 = J^-1 F1^T B because the frame is B-orthonormal with Gram J
-    return F2 @ np.linalg.inv(J) @ F1.T @ B
-
-
-def side_pairing(m, Q, tol=1e-9):
+def side_pairing(m, Q):
     """The two side pairings (A, B) of the parallelogram: A carries side
-    (v1, v2) to (v4, v3), B carries (v2, v3) to (v1, v4)."""
+    (v1, v2) to (v4, v3), B carries (v2, v3) to (v1, v4).
+
+    Each is the half-turn H = diag(-1, -1, 1) about the origin after the
+    half-turn about the geodesic midpoint c of its side, conjugated by
+    D = diag(d1, d2, 1).  The half-turn about c swaps the ends of the
+    side, and H sends each vertex to its antipode, the opposite vertex;
+    an orientation-preserving isometry is determined by the images of
+    two points.  With curvature k, u = (c, 1) and Gu = (k c, 1), the
+    half-turn about c is 2 u Gu^T / <u, Gu> - I in all three models
+    (x -> 2c - x for k = 0).  Raises OutsideDomain for a vertex outside
+    the disk."""
+    k = CURVATURE[m.kind]
+    d = np.array([m.D[0], m.D[1], 1.0])
+    hd = d * (-1.0, -1.0, 1.0)  # H D
     V = Q.vertices
-    mv = [m.to_model(v) for v in V]
-    len_bottom = model_distance(m, V[0], V[1])
-    len_top = model_distance(m, V[3], V[2])
-    len_right = model_distance(m, V[1], V[2])
-    len_left = model_distance(m, V[0], V[3])
-    if abs(len_bottom - len_top) > tol or abs(len_right - len_left) > tol:
-        raise SideLengthMismatch("opposite sides differ in model length")
-    GA = _segment_isometry(m.kind, mv[0], mv[1], mv[3], mv[2])
-    GB = _segment_isometry(m.kind, mv[1], mv[2], mv[0], mv[3])
-    Dm = np.diag([m.D[0], m.D[1], 1.0])
-    Dinv = np.diag([1.0 / m.D[0], 1.0 / m.D[1], 1.0])
-    return Dm @ GA @ Dinv, Dm @ GB @ Dinv
+    pairings = []
+    for p, q in ((V[0], V[1]), (V[1], V[2])):
+        c = m.to_model(geodesic_midpoint(m, p, q))
+        u = np.array([c[0], c[1], 1.0])
+        Gu = np.array([k * c[0], k * c[1], 1.0])
+        R = 2.0 * np.outer(u, Gu) / (u @ Gu) - np.eye(3)
+        pairings.append(hd[:, None] * R / d)
+    return tuple(pairings)
 
 
-def projective_normalize(M, tol=1e-8):
-    """Scale a 3x3 matrix by its bottom-right entry (or, failing that,
-    its largest entry)."""
+def projective_normalize(M):
+    """Scale a 3x3 matrix by its bottom-right entry (or, when that is at
+    most 1e-8, its largest entry)."""
     M = np.asarray(M, dtype=float)
-    if abs(M[2, 2]) > tol:
+    if abs(M[2, 2]) > 1e-8:
         return M / M[2, 2]
     piv = M.flat[np.argmax(np.abs(M))]
     return M / piv
 
 
-def in_heis(M, tol=1e-4):
-    """Upper triangular and unipotent within tolerance."""
+def in_heis(M):
+    """Upper triangular and unipotent within 1e-4."""
     M = projective_normalize(M)
     low = max(abs(M[1, 0]), abs(M[2, 0]), abs(M[2, 1]))
-    return low <= tol and np.abs(np.diag(M) - 1.0).max() <= tol
+    return low <= 1e-4 and np.abs(np.diag(M) - 1.0).max() <= 1e-4
 
 
 def _extrapolate(ts, mats):

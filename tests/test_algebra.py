@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, strategies as st
@@ -133,17 +134,6 @@ def test_dunder_arithmetic_matches_functions():
     assert close(2.0 * x, scal(2, 4, -1.0))
 
 
-def _numpy_coerce(self, other):
-    """AlgScalar._coerce as it was written with numpy.isscalar."""
-    np = pytest.importorskip("numpy")
-    if isinstance(other, AlgScalar):
-        self._check(other)
-        return other
-    if np.isscalar(other):
-        return AlgScalar(other, 0.0, self.delta)
-    return None
-
-
 def _outcome(fn):
     try:
         r = fn()
@@ -152,18 +142,24 @@ def _outcome(fn):
     return (r.re, r.im, r.delta) if isinstance(r, AlgScalar) else r
 
 
-def test_coercion_matches_numpy_isscalar(monkeypatch):
+def test_coercion_accepts_only_real_numbers():
     np = pytest.importorskip("numpy")
     x = scal(1.5, -2, -1.0)
-    operands = [3, True, 0.25, 1 + 2j, np.float64(2.5), np.int64(-4), "1.5",
-                np.array(2.0), [1.0]]
-    ops = [lambda o: x + o, lambda o: o + x, lambda o: x * o,
-           lambda o: o * x, lambda o: x == o]
-    got = [[_outcome(lambda: op(o)) for op in ops] for o in operands]
-    monkeypatch.setattr(AlgScalar, "_coerce", _numpy_coerce)
-    want = [[_outcome(lambda: op(o)) for op in ops] for o in operands]
-    assert got == want
-    # the outcomes themselves: numbers and numeric strings coerce, the
-    # rest is refused or compared by identity
-    assert got[0][0] == (4.5, -2.0, -1.0) and got[6][0] == (3.0, -2.0, -1.0)
-    assert got[3][0] is TypeError and got[8][0] is TypeError
+    ops = [lambda o: x + o, lambda o: o + x, lambda o: x - o,
+           lambda o: o - x, lambda o: x * o, lambda o: o * x,
+           lambda o: x / o, lambda o: x == o, lambda o: o == x]
+    # a numbers.Real operand acts as re + lambda*0 of the same algebra
+    for o in (3, True, 0.25, np.float64(2.5), np.int64(-4)):
+        r = scal(float(o), 0, -1.0)
+        assert [_outcome(lambda: op(o)) for op in ops] \
+            == [_outcome(lambda: op(r)) for op in ops]
+    assert _outcome(lambda: x + 3) == (4.5, -2.0, -1.0)
+    assert _outcome(lambda: np.int64(-4) * x) == (-6.0, 8.0, -1.0)
+    # anything else is refused on either side and compares unequal
+    for o in ("1.5", b"1", 1 + 2j, Decimal("1.5"), np.bool_(True),
+              np.array(2.0), [1.0], None):
+        for op in ops[:7]:
+            with pytest.raises(TypeError, match="expected a scalar"):
+                op(o)
+        assert x != o and not o == x
+    assert not AlgScalar(1.0) == "1"

@@ -294,6 +294,5 @@ def test_submersion_rank():
     Q = mat.standard_form(2, -1.0)
     A = AlgMatrix.identity(3, -1.0)
     assert mat.submersion_rank_check(A, Q)
-    assert not mat.submersion_rank_check(A, Q, h=0)
     Z = AlgMatrix(np.zeros((3, 3)), None, -1.0)
     assert not mat.submersion_rank_check(Z, Q)

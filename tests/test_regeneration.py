@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from geomlim import regeneration as regen
 from geomlim.limits import MonomialDiagonal
@@ -173,6 +174,33 @@ def test_side_pairing_oracle_at_large_t(kind, shape, t):
             G = mp.diag([1 / d for d in D]) * M * mp.diag(D)
             G = G / mp.cbrt(mp.det(G))
             assert mp.mnorm(G.T * form * G - form, 1) <= 1e-12
+
+
+@settings(deadline=None)
+@given(ra=st.floats(min_value=1e-2, max_value=0.9),
+       rb=st.floats(min_value=1e-2, max_value=0.9),
+       alpha=st.floats(min_value=0.0, max_value=2 * np.pi),
+       beta=st.floats(min_value=1e-3, max_value=2 * np.pi - 1e-3),
+       kind=st.sampled_from(regen.KINDS),
+       t=st.sampled_from([1.0, 10.0, 1e3, 1e6]))
+def test_side_pairing_random_parallelograms(ra, rb, alpha, beta, kind, t):
+    # (a, b, -a, -b) is centrally symmetric for every a, b not collinear
+    assume(abs(np.sin(beta)) >= 1e-4)
+    a = ra * np.array([np.cos(alpha), np.sin(alpha)])
+    b = rb * np.array([np.cos(alpha + beta), np.sin(alpha + beta)])
+    Q = Parallelogram([a, b, -a, -b])
+    A, B = regen.side_pairing(ModelParam(kind, (t * t, t, 1.0)), Q)
+    V = Q.vertices
+    for M, pairs in ((A, ((0, 3), (1, 2))), (B, ((1, 0), (2, 3)))):
+        for i, j in pairs:
+            w = M @ np.array([V[i][0], V[i][1], 1.0])
+            err = np.hypot(*(w[:2] / w[2] - V[j]))
+            assert err <= 1e-12 * np.hypot(*V[j])
+        # after the half-turn H about the origin is undone, what is left
+        # is the half-turn about a side's midpoint
+        N = np.diag([-1.0, -1.0, 1.0]) @ M
+        assert np.abs(N @ N - np.eye(3)).max() \
+            <= 1e-12 * max(1.0, np.abs(N).max()) ** 2
 
 
 def test_side_pairing_outside_domain():
