@@ -54,6 +54,10 @@ def parse_monomial_path(text):
     return limits.MonomialDiagonal(entries)
 
 
+# parse_grid's cap on the point count; heis dev evaluates n^2 points
+MAX_GRID_POINTS = 1001
+
+
 def parse_grid(text, log=False):
     import numpy as np
 
@@ -64,6 +68,9 @@ def parse_grid(text, log=False):
         raise InvalidInput("grid must be 'a:b:n'") from None
     if n < 1 or not np.isfinite([a, b]).all():
         raise InvalidInput("grid needs finite ends and at least one point")
+    if n > MAX_GRID_POINTS:
+        raise InvalidInput(
+            "grid takes at most {} points".format(MAX_GRID_POINTS))
     # a grid past the float range (a log grid, or a linear one whose step
     # overflows) reaches the library as inf or NaN, and the library
     # rejects it

@@ -2,8 +2,11 @@
 
 A diagonal form path diag(c_i t^{e_i}) determines, as t -> +infinity, a
 point of a torus of projective lines (one per coordinate pair), which
-decodes into an ordered partition of the coordinates by vanishing rate.
-The limit Lie algebra is rebuilt line by line from that point.
+decodes into an ordered partition of the coordinates by vanishing rate:
+a coordinate's block is set by how many coordinates it dominates.  The
+limit Lie algebra is rebuilt line by line from that point, one element
+per coordinate pair; elements on distinct pairs are orthogonal, so the
+subspace needs no orthogonalization.
 
 The combinatorial half (paths, limit points, partitions, signatures, the
 poset) is plain Python; numpy is imported by the numeric functions that
@@ -187,22 +190,25 @@ class FlagSignature(tuple):
 
 
 class LieSubspace:
-    """A subspace of n x n matrices with an orthonormalized basis."""
+    """A subspace of n x n matrices spanned by pairwise orthogonal basis
+    elements (under the Frobenius product), such as elements supported
+    on distinct coordinate pairs.  ``onb`` holds the nonzero elements,
+    flattened and normalized, as columns; a basis that is not pairwise
+    orthogonal is a ValueError."""
 
     def __init__(self, basis):
         import numpy as np
 
-        self.basis = [np.array(b, dtype=float) for b in basis]
-        self.n = self.basis[0].shape[0]
-        cols = []
-        for b in self.basis:
-            v = b.ravel()
-            nrm = np.linalg.norm(v)
-            cols.append(v / nrm if nrm > 0 else v)
-        M = np.column_stack(cols)
-        q, r = np.linalg.qr(M)
-        keep = np.abs(np.diag(r)) > 1e-12 * max(1.0, np.abs(r).max())
-        self.onb = q[:, keep]
+        self.basis = np.array(basis, dtype=float)
+        self.n = self.basis.shape[1]
+        V = self.basis.reshape(len(self.basis), -1)
+        gram = V @ V.T
+        norms = np.sqrt(gram.diagonal())
+        np.fill_diagonal(gram, 0.0)
+        if np.any(np.abs(gram) > 1e-12 * np.outer(norms, norms)):
+            raise ValueError("basis elements are not pairwise orthogonal")
+        keep = norms > 0
+        self.onb = (V[keep] / norms[keep, None]).T
 
     @property
     def dim(self):
@@ -283,20 +289,22 @@ def psi_limit(P):
 
 def eta(L):
     """Rebuild the limit Lie subalgebra from a limit point: pair (i,j)
-    with ratio [x:y] contributes the line through y e_ij - x e_ji."""
+    with ratio [x:y] contributes the line through y e_ij - x e_ji, in the
+    limit point's i < j order.  The elements sit on distinct coordinate
+    pairs, so they are orthogonal and span a subspace of dimension
+    n(n-1)/2.  Raises Undecodable when the point does not decode."""
     try:
         decode_partition(L)
     except Inconsistent as exc:
         raise Undecodable(str(exc)) from None
     import numpy as np
 
-    basis = []
-    n = L.n
-    for (i, j), (x, y) in sorted(L.components.items()):
-        M = np.zeros((n, n))
-        M[i, j] = y
-        M[j, i] = -x
-        basis.append(M)
+    pairs, points = zip(*L.components.items())
+    (i, j), (x, y) = np.array(pairs).T, np.array(points).T
+    k = np.arange(len(pairs))
+    basis = np.zeros((len(pairs), L.n, L.n))
+    basis[k, i, j] = y
+    basis[k, j, i] = -x
     return LieSubspace(basis)
 
 
@@ -304,67 +312,27 @@ def decode_partition(L):
     """Recover the ordered partition (blocks by vanishing rate, dominant
     first, plus per-block projective points) from a limit point.
 
-    Raises Inconsistent when the pairwise data is not an equivalence with
-    a strict total dominance order and coherent in-block ratios."""
-    n = L.n
-    # ties: both coordinates nonzero
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for (i, j), (x, y) in L.components.items():
-        if x != 0 and y != 0:
-            parent[find(i)] = find(j)
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    blocks = [tuple(sorted(g)) for g in groups.values()]
-
-    # the tie relation must hold on every in-block pair
-    block_of = {}
-    for bi, b in enumerate(blocks):
-        for i in b:
-            block_of[i] = bi
-    for (i, j), (x, y) in L.components.items():
-        same = block_of[i] == block_of[j]
-        tied = x != 0 and y != 0
-        if same != tied:
+    Pair (i, j) = [x : y] says i dominates j when y = 0, j dominates i
+    when x = 0, and ties them otherwise.  With w[i] the number of
+    coordinates i dominates, the pairs form an ordered partition exactly
+    when every pair agrees with w: sign(w[i] - w[j]) = (y == 0) -
+    (x == 0).  The blocks are then the classes of equal w, largest
+    first.  Raises Inconsistent, naming the first pair that disagrees or
+    the first in-block ratio incoherent with its block's point."""
+    n, comp = L.n, L.components
+    w = [0] * n
+    for (i, j), (x, y) in comp.items():
+        if y == 0:
+            w[i] += 1
+        elif x == 0:
+            w[j] += 1
+    for (i, j), (x, y) in comp.items():
+        if (w[i] > w[j]) - (w[i] < w[j]) != (y == 0) - (x == 0):
             raise Inconsistent(
-                "pair ({}, {}) disagrees with the tie classes".format(i, j))
-
-    # dominance between blocks: [1:0] means i's block dominates
-    k = len(blocks)
-    dom = {}
-    for (i, j), (x, y) in L.components.items():
-        a, b = block_of[i], block_of[j]
-        if a == b:
-            continue
-        d = (y == 0)  # True: a dominates b
-        key = (a, b)
-        if key in dom and dom[key] != d:
-            raise Inconsistent("contradictory dominance between blocks")
-        if (b, a) in dom and dom[(b, a)] == d:
-            raise Inconsistent("contradictory dominance between blocks")
-        dom[key] = d
-
-    def beats(a, b):
-        if (a, b) in dom:
-            return dom[(a, b)]
-        return not dom[(b, a)]
-
-    order = sorted(range(k), key=lambda a: sum(beats(a, b) for b in range(k)
-                                               if b != a), reverse=True)
-    # verify strict total order (transitivity of the tournament)
-    for pos_a in range(k):
-        for pos_b in range(pos_a + 1, k):
-            if not beats(order[pos_a], order[pos_b]):
-                raise Inconsistent("dominance is not a total order")
-
-    blocks = [blocks[a] for a in order]
+                "pair ({}, {}) disagrees with the dominance order".format(
+                    i, j))
+    blocks = [tuple(b) for _, b in itertools.groupby(
+        sorted(range(n), key=lambda i: -w[i]), key=w.__getitem__)]
     points = []
     for b in blocks:
         anchor = b[0]

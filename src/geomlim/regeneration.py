@@ -40,8 +40,14 @@ class ModelParam:
         return p / self.D[:2]
 
     def form(self):
-        """The bilinear form preserved by the model's isometries, in the
-        working (conjugated) coordinates."""
+        """The form preserved by the model's isometries, in the working
+        (conjugated) coordinates.  In the curved models it is
+        D^-1 diag(1, 1, sigma) D^-1, preserved as A^T Q A = Q.  The
+        Euclidean isometries preserve no nondegenerate form; the form
+        returned is the degenerate dual form D diag(1, 1, 0) D,
+        preserved as A J A^T = J."""
+        if self.kind == "euclidean":
+            return np.diag([self.D[0] ** 2, self.D[1] ** 2, 0.0])
         sigma = -1.0 if self.kind == "hyperbolic" else 1.0
         Dinv = np.diag(1.0 / self.D)
         return Dinv.T @ np.diag([1.0, 1.0, sigma]) @ Dinv
@@ -208,10 +214,12 @@ def regenerate_trace(kind, D_path, Q, t_grid):
             samples.append({"t": t, "error": str(exc)})
             continue
         Qm = m.form()
-        form_res = max(
-            np.abs(A.T @ Qm @ A - Qm).max(),
-            np.abs(B.T @ Qm @ B - Qm).max(),
-        )
+        if kind == "euclidean":
+            # the dual form, relative to its largest entry
+            form_res = max(np.abs(X @ Qm @ X.T - Qm).max()
+                           for X in (A, B)) / np.abs(Qm).max()
+        else:
+            form_res = max(np.abs(X.T @ Qm @ X - Qm).max() for X in (A, B))
         A = projective_normalize(A)
         B = projective_normalize(B)
         comm = A @ B @ np.linalg.inv(A) @ np.linalg.inv(B) - np.eye(3)

@@ -114,6 +114,8 @@ NAN = float("nan")
     ["heis", "dev", "--grid=-1e308:1e308:3", "--input", REP],
     ["cells", "8"],
     ["poset", "7", "6"],
+    ["heis", "dev", "--grid", "0:1:1002", "--input", REP],
+    ["regen", "--grid", "1:4:1002", "--input", JOB],
 ])
 def test_invalid_input_exits_2(capsys, tmp_path, argv):
     if isinstance(argv[-1], dict):
@@ -416,14 +418,16 @@ SCALARS = ['{"re": 1.5, "im": -2, "delta": -1}', '{"re": 1, "delta": 1}',
            '{"re": 0, "im": 0, "delta": 2}', '{"re": "x", "delta": 0}',
            '{"re": null, "delta": 0}', "[1]", "{"]
 # Mutation tokens.  Integers stay small or, like 99, past the size caps
-# of cells and poset, so no mutation makes a large cells or poset run;
-# --out appears only with a directory that does not exist.
+# of cells and poset, and grids stay small or, like 0:1:1002, past the
+# grid cap, so no mutation makes a large run; --out appears only with a
+# directory that does not exist.
 TOKENS = ["-1", "0", "1", "99", "x", "1.5", "nan", "inf", "1e308", "", "-h",
           "--poset", "--reverse", "--format", "json", "csv", "dot", "svg",
           "xml", "--grid", "0:1:9", "0:1", "1:0:3", "0:nan:3", "0:400:3",
-          "-400:0:3", "a:b:c", "--form", "--conj", "--path", "--input",
-          "--a", "--b", "--delta", "--bogus", "classify", "dev", "mul", "inv",
-          "frob", "--out=/nonexistent/dir/x.json"] + FORMS + PATHS + SCALARS
+          "0:1:1002", "-400:0:3", "a:b:c", "--form", "--conj", "--path",
+          "--input", "--a", "--b", "--delta", "--bogus", "classify", "dev",
+          "mul", "inv", "frob",
+          "--out=/nonexistent/dir/x.json"] + FORMS + PATHS + SCALARS
 
 
 @st.composite

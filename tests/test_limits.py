@@ -292,3 +292,123 @@ def test_split_of_a_limit_is_a_limit_iff_its_first_pair_has_a_positive():
                     assert lim.is_limit_of(G, p, n - p) == (G.first[0] >= 1)
                     children += 1
     assert children == 25720
+
+
+def _decode_by_tournament(L):
+    """The former decode_partition, kept as the reference: tie classes by
+    union-find, then a dominance tournament between the classes checked
+    for a strict total order."""
+    n = L.n
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for (i, j), (x, y) in L.components.items():
+        if x != 0 and y != 0:
+            parent[find(i)] = find(j)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    blocks = [tuple(sorted(g)) for g in groups.values()]
+    block_of = {i: bi for bi, b in enumerate(blocks) for i in b}
+    for (i, j), (x, y) in L.components.items():
+        if (block_of[i] == block_of[j]) != (x != 0 and y != 0):
+            raise lim.Inconsistent("tie classes")
+    dom = {}
+    for (i, j), (x, y) in L.components.items():
+        a, b = block_of[i], block_of[j]
+        if a == b:
+            continue
+        d = y == 0
+        if dom.get((a, b), d) != d or dom.get((b, a), not d) == d:
+            raise lim.Inconsistent("contradictory dominance")
+        dom[(a, b)] = d
+
+    def beats(a, b):
+        return dom[(a, b)] if (a, b) in dom else not dom[(b, a)]
+
+    k = len(blocks)
+    order = sorted(range(k), key=lambda a: sum(beats(a, b) for b in range(k)
+                                               if b != a), reverse=True)
+    if not all(beats(order[a], order[b])
+               for a in range(k) for b in range(a + 1, k)):
+        raise lim.Inconsistent("not a total order")
+    blocks = [blocks[a] for a in order]
+    points = []
+    for b in blocks:
+        vals = {b[0]: 1.0}
+        for i in b[1:]:
+            x, y = L.components[(b[0], i)]
+            vals[i] = y / x
+        for i, j in itertools.combinations(b, 2):
+            (g0, g1), (w0, w1) = L.components[(i, j)], lim.rp1(vals[i],
+                                                                vals[j])
+            if not (abs(g0 - w0) <= 1e-12 + 1e-9 * abs(w0)
+                    and abs(g1 - w1) <= 1e-12 + 1e-9 * abs(w1)):
+                raise lim.Inconsistent("incoherent")
+        points.append([vals[i] for i in b])
+    return OrderedPartition(blocks, points)
+
+
+PAIR_VALUES = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0), (1.0, 0.5),
+               (0.5, 1.0), (1.0, -0.5)]
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.integers(min_value=2, max_value=7), st.data())
+def test_decode_matches_the_tournament_decoder(n, data):
+    pairs = list(itertools.combinations(range(n), 2))
+    if data.draw(st.booleans()):
+        comp = {ij: data.draw(st.sampled_from(PAIR_VALUES)) for ij in pairs}
+    else:
+        # a psi-limit, which decodes, with one pair perturbed
+        path = MonomialDiagonal([
+            (data.draw(st.sampled_from([-2.0, -1.0, 0.5, 1.0, 2.0])),
+             data.draw(st.integers(min_value=-2, max_value=2)))
+            for _ in range(n)])
+        comp = dict(lim.psi_limit(path).components)
+        ij = data.draw(st.sampled_from(pairs))
+        comp[ij] = data.draw(st.sampled_from(PAIR_VALUES + [comp[ij]]))
+    L = LimitPoint(n, comp)
+    try:
+        want = _decode_by_tournament(L)
+    except lim.Inconsistent:
+        with pytest.raises(lim.Inconsistent):
+            lim.decode_partition(L)
+        return
+    got = lim.decode_partition(L)
+    assert got.blocks == want.blocks
+    assert got.block_points == want.block_points
+
+
+def _qr_projector(basis):
+    """Orthogonal projector onto the span of the basis by the former
+    construction: normalized columns, QR, and a rank cut on diag(R)."""
+    cols = [b.ravel() / np.linalg.norm(b) for b in basis]
+    q, r = np.linalg.qr(np.column_stack(cols))
+    keep = np.abs(np.diag(r)) > 1e-12 * max(1.0, np.abs(r).max())
+    return q[:, keep] @ q[:, keep].T
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_onb_projector_matches_qr(n):
+    for _ in range(5):
+        entries = [(float(rng.choice([-2.0, -0.5, 1.0, 2.0])),
+                    Fraction(int(rng.integers(-3, 4)))) for _ in range(n)]
+        J = rng.uniform(0.5, 2.0, size=n) * rng.choice([-1.0, 1.0], size=n)
+        for sub in (lim.eta(lim.psi_limit(MonomialDiagonal(entries))),
+                    lim.so_basis(J)):
+            assert sub.dim == n * (n - 1) // 2
+            err = np.abs(sub.onb @ sub.onb.T - _qr_projector(sub.basis))
+            assert err.max() <= 1e-12
+
+
+def test_lie_subspace_needs_an_orthogonal_basis():
+    with pytest.raises(ValueError):
+        LieSubspace([e(0, 1), e(0, 1) + e(1, 2)])
+    # zero elements are left out of onb; orthogonal ones are kept
+    assert LieSubspace([e(0, 1), np.zeros((3, 3)), 2 * e(1, 2)]).dim == 2

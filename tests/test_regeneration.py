@@ -243,6 +243,16 @@ def test_regenerate_trace_converges():
         assert s["form_residual"] <= 1e-12
 
 
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_euclidean_form_residual_is_of_the_dual_form(shape):
+    # Euclidean pairings preserve D diag(1, 1, 0) D as A J A^T = J
+    trace = regen.regenerate_trace("euclidean", heis_path(),
+                                   Parallelogram(SHAPES[shape]),
+                                   [1.0, 10.0, 1e3, 1e6])
+    for s in trace["samples"]:
+        assert s["form_residual"] <= 1e-12
+
+
 def test_regenerate_trace_rejects_bad_paths():
     flat = MonomialDiagonal([(1.0, 0), (1.0, 0), (1.0, 0)])
     with pytest.raises(ValueError):
