@@ -17,6 +17,7 @@ run without it.
 
 import itertools
 import math
+import types
 from fractions import Fraction
 
 
@@ -107,15 +108,24 @@ def rp1(u, v):
 
 
 class LimitPoint:
-    """One projective line per coordinate pair (i < j), zero-indexed."""
+    """One projective line per coordinate pair (i < j), zero-indexed.
+
+    ``components`` is a read-only mapping, so the point never changes and
+    decode_partition decodes it once: the partition it stores here is
+    returned, the same object, by every later call."""
 
     def __init__(self, n, components):
         self.n = n
-        self.components = {}
+        comp = {}
         for i, j in itertools.combinations(range(n), 2):
             if (i, j) not in components:
                 raise ValueError("missing component ({}, {})".format(i, j))
-            self.components[(i, j)] = rp1(*components[(i, j)])
+            comp[(i, j)] = rp1(*components[(i, j)])
+        self.components = types.MappingProxyType(comp)
+        self._partition = None
+
+    def __reduce__(self):  # a mappingproxy does not pickle
+        return LimitPoint, (self.n, dict(self.components))
 
     def __eq__(self, other):
         return self.n == other.n and self.components == other.components
@@ -273,12 +283,20 @@ def conjugacy_to_form_path(C, J):
 def psi_limit(P):
     """Exact limit of the pairwise-ratio embedding along the path P:
     component (i,j) is [c_i : c_j] when the exponents tie, else [1:0] or
-    [0:1] according to which exponent dominates."""
+    [0:1] according to which exponent dominates.  Tied coefficients more
+    than 1/RP1_TINY apart are a ValueError: rp1 would take the smaller as
+    zero and turn the tie into a dominance."""
     comp = {}
     for i, j in itertools.combinations(range(P.n), 2):
         ci, ei = P.entries[i]
         cj, ej = P.entries[j]
         if ei == ej:
+            a, b = sorted((abs(ci), abs(cj)))
+            if a / b < RP1_TINY:  # the test rp1 makes
+                raise ValueError(
+                    "tied coefficients {!r} and {!r} of entries {} and {} "
+                    "are too far apart to represent their ratio".format(
+                        ci, cj, i, j))
             comp[(i, j)] = (ci, cj)
         elif ei > ej:
             comp[(i, j)] = (1.0, 0.0)
@@ -318,7 +336,14 @@ def decode_partition(L):
     when every pair agrees with w: sign(w[i] - w[j]) = (y == 0) -
     (x == 0).  The blocks are then the classes of equal w, largest
     first.  Raises Inconsistent, naming the first pair that disagrees or
-    the first in-block ratio incoherent with its block's point."""
+    the first in-block ratio incoherent with its block's point.
+
+    The partition is stored on the read-only point, so the point is
+    decoded once: later calls return that same object, which callers
+    share and must not change.  A point that does not decode raises on
+    every call."""
+    if L._partition is not None:
+        return L._partition
     n, comp = L.n, L.components
     w = [0] * n
     for (i, j), (x, y) in comp.items():
@@ -350,7 +375,8 @@ def decode_partition(L):
                 raise Inconsistent(
                     "in-block ratio ({}, {}) is incoherent".format(i, j))
         points.append(pt)
-    return OrderedPartition(blocks, points)
+    L._partition = OrderedPartition(blocks, points)
+    return L._partition
 
 
 def encode_partition(P):

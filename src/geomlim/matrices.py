@@ -3,9 +3,13 @@
 An AlgMatrix keeps the two real coefficient grids (of 1 and of lambda)
 as numpy arrays, so the involution-transpose, determinant, exponential,
 the real 2n x 2n representation, and the unitary-group predicates are all
-plain real linear algebra underneath.  The Lie algebra of the (n,1)
-unitary group has the closed form X = QS + lambda*QT with S skew and T
-symmetric, so its coefficient grids do not depend on delta.
+plain real linear algebra underneath.  The exponential keeps the two grids
+stacked in one (2, n, n) array, so a product over the algebra is one
+stacked matrix product, combined in the operation order of AlgMatrix's @.
+The Lie algebra of the (n,1) unitary group has the closed form
+X = QS + lambda*QT with S skew and T symmetric, so its coefficient grids
+do not depend on delta.  Grids the library has just computed are wrapped
+as they are, without the copy and checks of the public constructor.
 """
 
 import math
@@ -49,6 +53,14 @@ class AlgMatrix:
             raise ShapeMismatch("need matching square grids")
         self.delta = float(delta)
 
+    @classmethod
+    def _wrap(cls, re, im, delta):
+        """Wrap fresh square float grids of one shape, owned by no other
+        matrix, without copying or checking them."""
+        A = cls.__new__(cls)
+        A.re, A.im, A.delta = re, im, float(delta)
+        return A
+
     @property
     def n(self):
         return self.re.shape[0]
@@ -65,18 +77,20 @@ class AlgMatrix:
 
     def __add__(self, other):
         self._check(other)
-        return AlgMatrix(self.re + other.re, self.im + other.im, self.delta)
+        return AlgMatrix._wrap(self.re + other.re, self.im + other.im,
+                               self.delta)
 
     def __sub__(self, other):
         self._check(other)
-        return AlgMatrix(self.re - other.re, self.im - other.im, self.delta)
+        return AlgMatrix._wrap(self.re - other.re, self.im - other.im,
+                               self.delta)
 
     def __neg__(self):
-        return AlgMatrix(-self.re, -self.im, self.delta)
+        return AlgMatrix._wrap(-self.re, -self.im, self.delta)
 
     def __matmul__(self, other):
         self._check(other)
-        return AlgMatrix(
+        return AlgMatrix._wrap(
             self.re @ other.re + self.delta * (self.im @ other.im),
             self.re @ other.im + self.im @ other.re,
             self.delta,
@@ -86,12 +100,13 @@ class AlgMatrix:
         if isinstance(s, AlgScalar):
             if s.delta != self.delta:
                 raise DeltaMismatch("delta mismatch")
-            return AlgMatrix(
+            return AlgMatrix._wrap(
                 s.re * self.re + self.delta * s.im * self.im,
                 s.re * self.im + s.im * self.re,
                 self.delta,
             )
-        return AlgMatrix(s * self.re, s * self.im, self.delta)
+        s = float(s)
+        return AlgMatrix._wrap(s * self.re, s * self.im, self.delta)
 
     __rmul__ = __mul__
 
@@ -108,7 +123,7 @@ class AlgMatrix:
 
 def dagger(A):
     """Involution-transpose: transpose with entrywise conjugation."""
-    return AlgMatrix(A.re.T.copy(), -A.im.T.copy(), A.delta)
+    return AlgMatrix._wrap(A.re.T.copy(), -A.im.T.copy(), A.delta)
 
 
 def det(A):
@@ -151,28 +166,34 @@ def exp_delta(X):
     """Matrix exponential by scaling-and-squaring with the algebra product.
 
     Halves X until its real-representation Frobenius norm is at most 1/2,
-    runs 20 series terms, then squares back up.  The series works on the
-    two coefficient grids directly, in the operation order of AlgMatrix's
-    @, * and +."""
+    runs 20 series terms, then squares back up.  The two coefficient grids
+    are stacked as one (2, n, n) array t = (re, im): one stacked product
+    t[:, None] @ (y, y swapped) gives the four grid products, and
+    P[0] + (delta, 1) * P[1] combines them in the operation order of
+    AlgMatrix's @, * and +, so the result is bit-identical to that
+    series."""
     nrm = np.linalg.norm(iota_delta(X))
     k = 0
     while nrm > 0.5:
         nrm /= 2.0
         k += 1
-    s = 0.5 ** k
-    y_re, y_im = s * X.re, s * X.im
     d = X.delta
-    n = X.n
-    t_re, t_im = np.eye(n), np.zeros((n, n))
-    a_re, a_im = np.eye(n), np.zeros((n, n))
+    w = np.array([d, 1.0])[:, None, None]
+    swap = [[0, 1], [1, 0]]  # y[swap] is ((re, im), (im, re))
+
+    def times(t, ys):
+        # P[0] = (t_re @ y_re, t_re @ y_im), P[1] = (t_im @ y_im, t_im @ y_re)
+        P = t[:, None] @ ys
+        return P[0] + w * P[1]
+
+    ys = (0.5 ** k * np.stack([X.re, X.im]))[swap]
+    t = a = np.stack([np.eye(X.n), np.zeros((X.n, X.n))])
     for m in range(1, 21):
-        t_re, t_im = t_re @ y_re + d * (t_im @ y_im), t_re @ y_im + t_im @ y_re
-        c = 1.0 / m
-        t_re, t_im = c * t_re, c * t_im
-        a_re, a_im = a_re + t_re, a_im + t_im
+        t = (1.0 / m) * times(t, ys)
+        a = a + t
     for _ in range(k):
-        a_re, a_im = a_re @ a_re + d * (a_im @ a_im), a_re @ a_im + a_im @ a_re
-    return AlgMatrix(a_re, a_im, d)
+        a = times(a, a[swap])
+    return AlgMatrix._wrap(a[0], a[1], d)
 
 
 def iota_delta(A):
@@ -190,7 +211,7 @@ def iota_delta(A):
 def iota_delta_inverse(R, delta):
     """Extract the coefficient grids back out of a 2n x 2n real matrix
     lying in the image of the representation."""
-    return AlgMatrix(R[0::2, 0::2].copy(), R[1::2, 0::2].copy(), delta)
+    return AlgMatrix._wrap(R[0::2, 0::2].copy(), R[1::2, 0::2].copy(), delta)
 
 
 def conjugator_C(delta, mu, n):
@@ -244,7 +265,9 @@ def u_lie_basis(n, delta):
     symmetric.  The basis is Q(E_ij - E_ji)/sqrt(2) for i < j, then
     lambda*Q(E_ij + E_ji)/sqrt(2) for i < j and lambda*Q E_ii: (n+1)^2
     elements, orthonormal in the 2(n+1)^2 real coordinates.  delta does
-    not enter, so the coefficient grids are identical for every delta."""
+    not enter, so the coefficient grids are identical for every delta.
+    Each element's grids are slices of one (k, m, m) block per kind, its
+    zero grid a slice of one zeros block; no two elements share storage."""
     m = n + 1
     q = np.ones((m, 1))
     q[n] = -1.0  # Q = diag(q), so Q M is q * M
@@ -255,10 +278,11 @@ def u_lie_basis(n, delta):
     r = np.arange(m)
     D = np.zeros((m, m, m))  # E_ii
     D[r, r, r] = 1.0
-    zero = np.zeros((m, m))
-    return ([AlgMatrix(A, zero, delta) for A in q * (E - Et)]
-            + [AlgMatrix(zero, B, delta)
-               for B in q * np.concatenate([E + Et, D])])
+    zeros = np.zeros((m * m, m, m))
+    S, T = q * (E - Et), q * np.concatenate([E + Et, D])
+    return ([AlgMatrix._wrap(A, Z, delta) for A, Z in zip(S, zeros)]
+            + [AlgMatrix._wrap(Z, B, delta)
+               for Z, B in zip(zeros[len(S):], T)])
 
 
 def rr_to_unitary(X, n=None):

@@ -116,6 +116,9 @@ NAN = float("nan")
     ["poset", "7", "6"],
     ["heis", "dev", "--grid", "0:1:1002", "--input", REP],
     ["regen", "--grid", "1:4:1002", "--input", JOB],
+    # the constant form diag(1e-300, 1, 1e300): its limit is O(3), whose
+    # block point has no float representation
+    ["limit", "--path", "0." + "0" * 299 + "1,1,1" + "0" * 300],
 ])
 def test_invalid_input_exits_2(capsys, tmp_path, argv):
     if isinstance(argv[-1], dict):

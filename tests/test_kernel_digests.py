@@ -1,0 +1,142 @@
+"""SHA-256 digests of the bytes the exact kernels return, recorded before
+exp_delta ran on stacked grids, before the library wrapped its computed
+grids without a copy and before a limit point kept its decoded partition.
+The bytes are compared, not the values, so a signed zero counts.
+
+exp_delta, inverse and eta go through BLAS matrix products, whose rounding
+depends on the BLAS build and on the kernel it picks for the processor.
+Their digests are checked only where plain products, inverses and Gram
+matrices of the same sizes (the canary) give the bytes recorded with them.
+"""
+
+import hashlib
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from geomlim import limits, matrices
+
+NS = range(2, 9)
+DELTAS = (-1.0, 0.0, 1.0)
+
+
+def digest(chunks):
+    h = hashlib.sha256()
+    for c in chunks:
+        h.update(c if isinstance(c, bytes) else c.tobytes())
+    return h.hexdigest()
+
+
+def grids(seed):
+    """One seeded pair of n x n coefficient grids per (n, delta)."""
+    rng = np.random.default_rng(seed)
+    return [(n, d, rng.standard_normal((2, n, n))) for n in NS for d in DELTAS]
+
+
+def paths():
+    """Seeded monomial form paths, n = 2..8, with tied exponents."""
+    rng = np.random.default_rng(7)
+    coeffs = [-3.0, -2.0, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0, 3.0]
+    out = []
+    for n in NS:
+        for blocks in range(1, 5):
+            exps = [Fraction(int(k), 2) for k in rng.integers(0, blocks, n)]
+            cs = [float(rng.choice(coeffs)) if rng.random() < 0.5
+                  else float(rng.standard_normal()) for _ in range(n)]
+            out.append(limits.MonomialDiagonal(list(zip(cs, exps))))
+    return out
+
+
+def exp_delta_bytes():
+    # a last-bit change in the series shows in few results, so take many
+    for seed in range(10, 14):
+        for _, d, (re, im) in grids(seed):
+            for s in (0.1, 0.5, 1.0, 3.0):
+                A = matrices.exp_delta(matrices.AlgMatrix(s * re, s * im, d))
+                yield from (A.re, A.im)
+
+
+def inverse_bytes():
+    for _, d, (re, im) in grids(2):
+        A = matrices.inverse(matrices.AlgMatrix(re, im, d))
+        yield from (A.re, A.im)
+
+
+def u_lie_basis_bytes():
+    for n in NS:
+        for d in DELTAS:
+            for X in matrices.u_lie_basis(n, d):
+                yield from (X.re, X.im)
+
+
+def eta_bytes():
+    for path in paths():
+        sub = limits.eta(limits.psi_limit(path))
+        yield from (sub.basis, sub.onb)
+
+
+def decode_bytes():
+    for path in paths():
+        P = limits.decode_partition(limits.psi_limit(path))
+        yield repr((P.blocks, P.block_points)).encode()
+
+
+def canary_bytes():
+    for n, _, (a, b) in grids(3):
+        yield a @ b
+        R = matrices.iota_delta(matrices.AlgMatrix(a, b, 1.0))
+        yield np.linalg.inv(R)
+        V = np.where(np.abs(a) < 0.5, 0.0, a).reshape(n, -1)
+        yield V @ V.T
+
+
+# Recorded with OpenBLAS 0.3.31's SkylakeX, Haswell and Sandybridge kernels
+# (OPENBLAS_CORETYPE); its Zen kernel rounds as Haswell does.
+BLAS_DIGESTS = {
+    "7b04f1bb395af1eb33dd266d4c6a291838a5b7f725439978c16976a7656f89c7": {
+        "exp_delta":
+            "01464b6cfa50060c2f3a490a8130cf5196f86617569db66f5aa06301e2dc6f47",
+        "inverse":
+            "f5bc2f1d73e30e13ade2af64e6bed38e31cbc50c486a208336d4ee5efa25adfc",
+        "eta":
+            "c9e611431928a454df2980133f8eb71224ca335e3fa0171fc98ebd85056a21a5",
+    },
+    "75d125a8f065e461011388f8648d41fe7c7f3e8838420516414a27dec34d18e2": {
+        "exp_delta":
+            "01464b6cfa50060c2f3a490a8130cf5196f86617569db66f5aa06301e2dc6f47",
+        "inverse":
+            "9459befb5aaa54c51a88e3a6cd96f7a09a32d4cc4d3ac1596d144e9ec7b17ae3",
+        "eta":
+            "c9e611431928a454df2980133f8eb71224ca335e3fa0171fc98ebd85056a21a5",
+    },
+    "8b5a17293649359193c44a67f02cc1c7ab70d0140e11cec792a038716f4a8b90": {
+        "exp_delta":
+            "17ff39dec5c05d9b9d7a155ee24eda9141e5f84649d3ffdfaf7ba2fcb757fb2c",
+        "inverse":
+            "090f5c8d46e77e0b602a06868245fcfcc0ff24bd2a47b033f36f45f624563b67",
+        "eta":
+            "c9e611431928a454df2980133f8eb71224ca335e3fa0171fc98ebd85056a21a5",
+    },
+}
+DIGESTS = {
+    "u_lie_basis":
+        "4be43fa915ccb6ae4e99402b2eefc96e2a848c09079d85d21239f217cf7ff65d",
+    "decode":
+        "e35412de24ce6e03494addd8db49fa2a932b6f7b10591211e8a0fda69eeb61b8",
+}
+CASES = {"exp_delta": exp_delta_bytes, "inverse": inverse_bytes,
+         "u_lie_basis": u_lie_basis_bytes, "eta": eta_bytes,
+         "decode": decode_bytes}
+
+
+@pytest.mark.parametrize("kind", CASES)
+def test_kernel_output_bytes_unchanged(kind):
+    want = DIGESTS.get(kind)
+    if want is None:
+        recorded = BLAS_DIGESTS.get(digest(canary_bytes()))
+        if recorded is None:
+            pytest.skip("this BLAS rounds products differently from every "
+                        "one the digests were recorded with")
+        want = recorded[kind]
+    assert digest(CASES[kind]()) == want

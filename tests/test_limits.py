@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import warnings
 from fractions import Fraction
 
@@ -140,6 +142,60 @@ def test_eta_rejects_undecodable():
     comp = {(0, 1): (1.0, 0.0), (1, 2): (1.0, 0.0), (0, 2): (0.0, 1.0)}
     with pytest.raises(lim.Undecodable):
         lim.eta(LimitPoint(3, comp))
+
+
+@pytest.mark.parametrize("comp", [
+    # a 3-cycle, and a tie class broken by a dominance
+    {(0, 1): (1.0, 0.0), (1, 2): (1.0, 0.0), (0, 2): (0.0, 1.0)},
+    {(0, 1): (1.0, 1.0), (1, 2): (1.0, 1.0), (0, 2): (1.0, 0.0)},
+])
+def test_undecodable_names_the_same_pair_on_every_call(comp):
+    L = LimitPoint(3, comp)
+    want = "pair (0, 1) disagrees with the dominance order"
+    for _ in range(2):
+        with pytest.raises(lim.Undecodable) as exc:
+            lim.eta(L)
+        assert str(exc.value) == want
+        with pytest.raises(lim.Inconsistent) as exc:
+            lim.decode_partition(L)
+        assert str(exc.value) == want
+
+
+def test_limit_point_is_read_only_and_decoded_once():
+    path = MonomialDiagonal([(1.0, 2), (-2.0, 1), (3.0, 1), (0.5, 0)])
+    L = lim.psi_limit(path)
+    with pytest.raises(TypeError):
+        L.components[(0, 1)] = (0.0, 1.0)
+    P = lim.decode_partition(L)
+    assert lim.decode_partition(L) is P
+    Q = lim.decode_partition(lim.psi_limit(path))
+    assert P == Q and P is not Q
+    assert P.blocks == [(0,), (1, 2), (3,)]
+    assert lim.eta(L).dim == 6
+    assert copy.deepcopy(L) == L and pickle.loads(pickle.dumps(L)) == L
+
+
+@pytest.mark.parametrize("coeffs, ok", [
+    ([1e-300, 1.0, 1e300], False),
+    ([2.0 ** -901, 1.0, 1.0], False),
+    ([1.0, -(2.0 ** -901), 1.0], False),
+    ([2.0 ** -899, 1.0, 1.0], True),
+    ([2.0 ** -850, 2.0 ** -400, 1.0], True),
+])
+def test_psi_limit_refuses_ties_it_cannot_represent(coeffs, ok):
+    # A constant form ties every pair; rp1 would take a coefficient below
+    # RP1_TINY times the other as zero, a dominance.
+    path = MonomialDiagonal.constant(coeffs)
+    if ok:
+        P = lim.decode_partition(lim.psi_limit(path))
+        assert P.blocks == [(0, 1, 2)]
+    else:
+        with pytest.raises(ValueError, match="too far apart"):
+            lim.psi_limit(path)
+    # untied exponents may have coefficients of any size
+    far = MonomialDiagonal([(c, i) for i, c in enumerate(coeffs)])
+    assert lim.decode_partition(lim.psi_limit(far)).blocks == [
+        (2,), (1,), (0,)]
 
 
 def test_so_basis_preserves_form():

@@ -199,6 +199,28 @@ def test_exp_delta_matches_operator_series(n, delta):
         assert np.array_equal(got.im, want.im)
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_u_lie_basis_elements_share_no_storage(n):
+    for k in range((n + 1) ** 2):
+        for part in ("re", "im"):
+            basis = mat.u_lie_basis(n, 1.0)
+            before = [(X.re.copy(), X.im.copy()) for X in basis]
+            getattr(basis[k], part)[...] = 7.0
+            for i, (X, (re, im)) in enumerate(zip(basis, before)):
+                if i != k:
+                    assert np.array_equal(X.re, re)
+                    assert np.array_equal(X.im, im)
+
+
+def test_exp_delta_grids_share_no_storage():
+    X = random_matrix(3, -1.0)
+    for part, other in (("re", "im"), ("im", "re")):
+        A = mat.exp_delta(X)
+        keep = getattr(A, other).copy()
+        getattr(A, part)[...] = 7.0
+        assert np.array_equal(getattr(A, other), keep)
+
+
 def test_rr_to_unitary_homomorphism():
     Q = AlgMatrix.identity(3, 1.0)
     for _ in range(25):
