@@ -1,12 +1,14 @@
 """Exact conjugacy limits of diagonal orthogonal Lie algebras.
 
 A diagonal form path diag(c_i t^{e_i}) determines, as t -> +infinity, a
-point of a torus of projective lines (one per coordinate pair), which
-decodes into an ordered partition of the coordinates by vanishing rate:
-a coordinate's block is set by how many coordinates it dominates.  The
-limit Lie algebra is rebuilt line by line from that point, one element
-per coordinate pair; elements on distinct pairs are orthogonal, so the
-subspace needs no orthogonalization.
+point of a torus of projective lines (one per coordinate pair) and an
+ordered partition of the coordinates by exponent, largest first, with the
+coefficients as block points.  psi_limit builds both and the point
+carries its partition.  A point built from components (encode_partition,
+user code) is decoded instead: a coordinate's block is set by how many
+coordinates it dominates.  The limit Lie algebra is rebuilt line by line
+from the point, one element per coordinate pair; elements on distinct
+pairs are orthogonal, so the subspace needs no orthogonalization.
 
 The combinatorial half (paths, limit points, partitions, signatures, the
 poset) is plain Python; numpy is imported by the numeric functions that
@@ -91,10 +93,14 @@ RP1_TINY = 2.0 ** -900
 
 def rp1(u, v):
     """Canonical representative of [u : v]: max-magnitude coordinate has
-    magnitude 1 and the first nonzero coordinate is positive."""
+    magnitude 1 and the first nonzero coordinate is positive.  [0:0] and
+    a non-finite coordinate are a ValueError."""
     u, v = float(u), float(v)
     if u == 0 and v == 0:
         raise ValueError("[0:0] is not a projective point")
+    if not (math.isfinite(u) and math.isfinite(v)):
+        raise ValueError(
+            "[{!r}:{!r}] is not a projective point".format(u, v))
     m = max(abs(u), abs(v))
     u, v = u / m, v / m
     if abs(u) < RP1_TINY:
@@ -111,8 +117,9 @@ class LimitPoint:
     """One projective line per coordinate pair (i < j), zero-indexed.
 
     ``components`` is a read-only mapping, so the point never changes and
-    decode_partition decodes it once: the partition it stores here is
-    returned, the same object, by every later call."""
+    its partition is found once: psi_limit attaches it, or
+    decode_partition stores it here on the first call; every later call
+    returns that same object."""
 
     def __init__(self, n, components):
         self.n = n
@@ -124,10 +131,22 @@ class LimitPoint:
         self.components = types.MappingProxyType(comp)
         self._partition = None
 
+    @classmethod
+    def _wrap(cls, n, comp, partition):
+        """The point of canonical components comp, a fresh dict of every
+        pair i < j in that order, with its ordered partition; neither is
+        copied or checked."""
+        L = cls.__new__(cls)
+        L.n, L.components = n, types.MappingProxyType(comp)
+        L._partition = partition
+        return L
+
     def __reduce__(self):  # a mappingproxy does not pickle
         return LimitPoint, (self.n, dict(self.components))
 
     def __eq__(self, other):
+        if not isinstance(other, LimitPoint):
+            return NotImplemented
         return self.n == other.n and self.components == other.components
 
     def __repr__(self):
@@ -148,8 +167,8 @@ class OrderedPartition:
                 raise ValueError("point size does not match block size")
             if any(x == 0 for x in p):
                 raise ValueError("block point entries must be nonzero")
-            k = max(range(len(p)), key=lambda i: abs(p[i]))
-            self.block_points.append(tuple(x / p[k] for x in p))
+            top = max(p, key=abs)  # the first of largest magnitude
+            self.block_points.append(tuple(x / top for x in p))
         cover = sorted(i for b in self.blocks for i in b)
         if cover != list(range(len(cover))) or len(cover) != self.n:
             raise ValueError("blocks must partition the index set")
@@ -159,6 +178,8 @@ class OrderedPartition:
         return sum(len(b) for b in self.blocks)
 
     def __eq__(self, other):
+        if not isinstance(other, OrderedPartition):
+            return NotImplemented
         return self.blocks == other.blocks \
             and self.block_points == other.block_points
 
@@ -285,24 +306,40 @@ def psi_limit(P):
     component (i,j) is [c_i : c_j] when the exponents tie, else [1:0] or
     [0:1] according to which exponent dominates.  Tied coefficients more
     than 1/RP1_TINY apart are a ValueError: rp1 would take the smaller as
-    zero and turn the tie into a dominance."""
+    zero and turn the tie into a dominance.
+
+    The point carries its ordered partition, the one decode_partition
+    would find: the blocks are the classes of equal exponent, largest
+    first, and a block's point is 1 at its first index i0, then y / x of
+    each component (i0, i) = [x : y]."""
+    n = P.n
+    # A Fraction in lowest terms is equal to another exactly when its
+    # (numerator, denominator) is, and that pair hashes far faster.
+    exps = {(e.numerator, e.denominator): e for _, e in P.entries}
+    rank_of = {k: r for r, k in enumerate(
+        sorted(exps, key=exps.get, reverse=True))}
+    rank = [rank_of[e.numerator, e.denominator] for _, e in P.entries]
     comp = {}
-    for i, j in itertools.combinations(range(P.n), 2):
-        ci, ei = P.entries[i]
-        cj, ej = P.entries[j]
-        if ei == ej:
+    for i, j in itertools.combinations(range(n), 2):
+        if rank[i] < rank[j]:
+            comp[(i, j)] = (1.0, 0.0)
+        elif rank[i] > rank[j]:
+            comp[(i, j)] = (0.0, 1.0)
+        else:
+            ci, cj = P.entries[i][0], P.entries[j][0]
             a, b = sorted((abs(ci), abs(cj)))
             if a / b < RP1_TINY:  # the test rp1 makes
                 raise ValueError(
                     "tied coefficients {!r} and {!r} of entries {} and {} "
                     "are too far apart to represent their ratio".format(
                         ci, cj, i, j))
-            comp[(i, j)] = (ci, cj)
-        elif ei > ej:
-            comp[(i, j)] = (1.0, 0.0)
-        else:
-            comp[(i, j)] = (0.0, 1.0)
-    return LimitPoint(P.n, comp)
+            comp[(i, j)] = rp1(ci, cj)
+    blocks = [[] for _ in rank_of]
+    for i, r in enumerate(rank):
+        blocks[r].append(i)
+    points = [[1.0] + [y / x for x, y in (comp[(b[0], i)] for i in b[1:])]
+              for b in blocks]
+    return LimitPoint._wrap(n, comp, OrderedPartition(blocks, points))
 
 
 def eta(L):
@@ -328,7 +365,10 @@ def eta(L):
 
 def decode_partition(L):
     """Recover the ordered partition (blocks by vanishing rate, dominant
-    first, plus per-block projective points) from a limit point.
+    first, plus per-block projective points) from a limit point.  A point
+    from psi_limit carries its partition, which is returned at once; this
+    decoder is for points built from components (encode_partition, user
+    code).
 
     Pair (i, j) = [x : y] says i dominates j when y = 0, j dominates i
     when x = 0, and ties them otherwise.  With w[i] the number of

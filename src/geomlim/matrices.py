@@ -8,8 +8,9 @@ stacked in one (2, n, n) array, so a product over the algebra is one
 stacked matrix product, combined in the operation order of AlgMatrix's @.
 The Lie algebra of the (n,1) unitary group has the closed form
 X = QS + lambda*QT with S skew and T symmetric, so its coefficient grids
-do not depend on delta.  Grids the library has just computed are wrapped
-as they are, without the copy and checks of the public constructor.
+do not depend on delta and are built once per size.  Grids the library
+has just computed are wrapped as they are, without the copy and checks
+of the public constructor.
 """
 
 import math
@@ -256,18 +257,20 @@ def is_stabilizer(A, Q):
     return off <= 1e-9 and abs(algebra.norm(u) - 1.0) <= 1e-9
 
 
-def u_lie_basis(n, delta):
-    """Orthonormal basis of the Lie algebra of the (n,1) unitary group
-    over the algebra, Q = diag(I_n, -1).
+# _u_lie_blocks keeps the blocks of each n whose S and T blocks take at
+# most this many bytes (8 (n+1)^4: n <= 8); larger ones, 830 MB at
+# n = 100, are built per call and not retained.
+U_LIE_CACHE_BYTES = 64 * 1024
+_u_lie_cache = {}
 
-    X = A + lambda*B solves dagger(X) Q + Q X = 0 exactly when QA is skew
-    and QB is symmetric, i.e. X = QS + lambda*QT with S skew and T
-    symmetric.  The basis is Q(E_ij - E_ji)/sqrt(2) for i < j, then
-    lambda*Q(E_ij + E_ji)/sqrt(2) for i < j and lambda*Q E_ii: (n+1)^2
-    elements, orthonormal in the 2(n+1)^2 real coordinates.  delta does
-    not enter, so the coefficient grids are identical for every delta.
-    Each element's grids are slices of one (k, m, m) block per kind, its
-    zero grid a slice of one zeros block; no two elements share storage."""
+
+def _u_lie_blocks(n):
+    """The read-only grids q * (E_ij - E_ji) / sqrt(2) for i < j (S) and
+    q * (E_ij + E_ji) / sqrt(2) for i < j, then q * E_ii (T), with
+    Q = diag(q), as one (k, m, m) block per kind."""
+    blocks = _u_lie_cache.get(n)
+    if blocks is not None:
+        return blocks
     m = n + 1
     q = np.ones((m, 1))
     q[n] = -1.0  # Q = diag(q), so Q M is q * M
@@ -278,8 +281,30 @@ def u_lie_basis(n, delta):
     r = np.arange(m)
     D = np.zeros((m, m, m))  # E_ii
     D[r, r, r] = 1.0
+    blocks = q * (E - Et), q * np.concatenate([E + Et, D])
+    for B in blocks:
+        B.flags.writeable = False
+    if sum(B.nbytes for B in blocks) <= U_LIE_CACHE_BYTES:
+        _u_lie_cache[n] = blocks
+    return blocks
+
+
+def u_lie_basis(n, delta):
+    """Orthonormal basis of the Lie algebra of the (n,1) unitary group
+    over the algebra, Q = diag(I_n, -1).
+
+    X = A + lambda*B solves dagger(X) Q + Q X = 0 exactly when QA is skew
+    and QB is symmetric, i.e. X = QS + lambda*QT with S skew and T
+    symmetric.  The basis is Q(E_ij - E_ji)/sqrt(2) for i < j, then
+    lambda*Q(E_ij + E_ji)/sqrt(2) for i < j and lambda*Q E_ii: (n+1)^2
+    elements, orthonormal in the 2(n+1)^2 real coordinates.  delta does
+    not enter, so the coefficient grids are identical for every delta and
+    are built once per n.  Each element's grids are slices of fresh
+    copies of those blocks, its zero grid a slice of one fresh zeros
+    block; no two elements, and no two calls, share storage."""
+    m = n + 1
+    S, T = (B.copy() for B in _u_lie_blocks(n))
     zeros = np.zeros((m * m, m, m))
-    S, T = q * (E - Et), q * np.concatenate([E + Et, D])
     return ([AlgMatrix._wrap(A, Z, delta) for A, Z in zip(S, zeros)]
             + [AlgMatrix._wrap(Z, B, delta)
                for Z, B in zip(zeros[len(S):], T)])

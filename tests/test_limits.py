@@ -198,6 +198,72 @@ def test_psi_limit_refuses_ties_it_cannot_represent(coeffs, ok):
         (2,), (1,), (0,)]
 
 
+def _raw_pairs(P):
+    """psi_limit's pairs before rp1, pair by pair with Fraction
+    comparisons, and its refusal of ties too far apart."""
+    comp = {}
+    for i, j in itertools.combinations(range(P.n), 2):
+        (ci, ei), (cj, ej) = P.entries[i], P.entries[j]
+        if ei == ej:
+            a, b = sorted((abs(ci), abs(cj)))
+            if a / b < lim.RP1_TINY:
+                raise ValueError(
+                    "tied coefficients {!r} and {!r} of entries {} and {} "
+                    "are too far apart to represent their ratio".format(
+                        ci, cj, i, j))
+            comp[(i, j)] = (ci, cj)
+        else:
+            comp[(i, j)] = (1.0, 0.0) if ei > ej else (0.0, 1.0)
+    return comp
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(min_value=2, max_value=8), st.data())
+def test_psi_limit_attaches_the_decoded_partition(n, data):
+    # coefficients up to 2^1600 apart, so some ties are refused
+    spread = data.draw(st.sampled_from([0, 60, 450, 800]))
+    path = MonomialDiagonal([
+        (data.draw(st.sampled_from([-1.5, -1.0, 0.75, 1.0, 1.25]))
+         * 2.0 ** data.draw(st.integers(-spread, spread)),
+         Fraction(data.draw(st.integers(-2, 2)),
+                  data.draw(st.sampled_from([1, 2, 3]))))
+        for _ in range(n)])
+    try:
+        raw = _raw_pairs(path)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            lim.psi_limit(path)
+        assert str(got.value) == str(exc)
+        return
+    L = lim.psi_limit(path)
+    assert L == LimitPoint(path.n, raw)
+    assert list(L.components) == list(raw)
+    attached = lim.decode_partition(L)
+    decoded = lim.decode_partition(LimitPoint(L.n, dict(L.components)))
+    assert repr(attached.blocks) == repr(decoded.blocks)
+    assert repr(attached.block_points) == repr(decoded.block_points)
+
+
+def test_equality_with_other_types_is_false():
+    L = lim.psi_limit(MonomialDiagonal([(1, 1), (2, 0)]))
+    P = lim.decode_partition(L)
+    for x in (L, P):
+        assert x not in [None]
+        assert x != 3 and not x == 3
+    assert L != P and P != L
+
+
+@pytest.mark.parametrize("u, v", [(math.inf, 1.0), (1.0, -math.inf),
+                                  (math.inf, math.inf), (math.nan, 1.0),
+                                  (0.0, math.nan), (math.inf, 0.0)])
+def test_rp1_refuses_non_finite_coordinates(u, v):
+    with pytest.raises(ValueError, match="not a projective point"):
+        lim.rp1(u, v)
+    comp = {(0, 1): (u, v), (0, 2): (1.0, 0.0), (1, 2): (1.0, 0.0)}
+    with pytest.raises(ValueError, match="not a projective point"):
+        LimitPoint(3, comp)
+
+
 def test_so_basis_preserves_form():
     J = np.array([2.0, -1.0, 3.0])
     sub = lim.so_basis(J)

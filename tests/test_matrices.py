@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -133,6 +136,37 @@ def test_u_lie_basis_delta_independent(n):
         for (r0, i0), (r1, i1) in zip(grids[0], other, strict=True):
             assert np.array_equal(r0, r1)
             assert np.array_equal(i0, i1)
+
+
+def _grids(basis):
+    return [g for X in basis for g in (X.re, X.im)]
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 9])
+def test_u_lie_basis_returns_fresh_writable_grids(n):
+    first, second = mat.u_lie_basis(n, 1.0), mat.u_lie_basis(n, -1.0)
+    want = [g.copy() for g in _grids(second)]
+    grids = _grids(first) + _grids(second)
+    assert all(g.flags.writeable for g in grids)
+    for a, b in itertools.combinations(grids, 2):
+        assert not np.shares_memory(a, b)
+    for g in _grids(first):
+        g[...] = 7.0
+    later = _grids(mat.u_lie_basis(n, -1.0))
+    assert all(np.array_equal(a, b) for a, b in zip(later, want, strict=True))
+
+
+def test_u_lie_basis_keeps_no_blocks_above_the_cache_cap():
+    n = 12  # its S and T blocks take 8 * 13^4 bytes
+    assert 8 * (n + 1) ** 4 > mat.U_LIE_CACHE_BYTES
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        mat.u_lie_basis(n, 0.0)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 8 * (n + 1) ** 4 // 20
 
 
 def svd_u_lie_basis(n):
