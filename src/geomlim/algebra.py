@@ -3,6 +3,9 @@
 Elements are a + lambda*b where lambda squares to a real parameter delta.
 Negative delta gives (a copy of) the complex numbers, delta = 0 the dual
 numbers, positive delta the split-complex numbers R+R.
+
+x is a zero divisor when |norm(x)| <= 1e-12 (|a| + |b|)^2, or underflows:
+the test is of degree 2, as the norm is, so x and c x get one answer.
 """
 
 import math
@@ -122,8 +125,10 @@ def norm(x):
 
 
 def tau_zero(x):
-    """Scale-aware zero-divisor tolerance for x."""
-    return 1e-12 * (1.0 + abs(x.re) + abs(x.im))
+    """Zero-divisor tolerance for x: 1e-12 (|re| + |im|)^2, and at least
+    the smallest normal float, below which the norm has lost precision."""
+    s = abs(x.re) + abs(x.im)
+    return max(1e-12 * s * s, 2.0 ** -1022)
 
 
 def is_zero_divisor(x):

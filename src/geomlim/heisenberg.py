@@ -42,12 +42,12 @@ class HeisRep:
     def bracket(self):
         """x1 y2 - x2 y1, computed without overflow in its products; a
         bracket past the float range is inf."""
-        b, k = _scaled_bracket(self)
+        b, _, k = _scaled_bracket(self)
         with np.errstate(over="ignore"):
             return np.ldexp(b, -k)
 
     def scale(self):
-        return max(np.abs(np.concatenate([self.x, self.y, self.z])).max(), 1.0)
+        return np.abs(np.concatenate([self.x, self.y, self.z])).max()
 
     def generator(self, i):
         return heis_exp(self.x[i], self.y[i], self.z[i])
@@ -72,21 +72,21 @@ def heis_log(g):
 
 
 def _scaled_bracket(r):
-    """x1 y2 - x2 y1 for x and y each scaled down by a power of two to
-    entries below 1, 2^a x and 2^b y, and k = a + b: no product
-    overflows, and the result is 2^k times the bracket.  Scaling each
-    vector on its own keeps a small y from underflowing against a large
-    x or z."""
-    a, b = (min(0, -np.frexp(np.abs(v).max())[1]) for v in (r.x, r.y))
-    x, y = np.ldexp(r.x, a), np.ldexp(r.y, b)
-    return x[0] * y[1] - x[1] * y[0], a + b
+    """x1 y2 - x2 y1 for x and y each scaled by a power of two to a largest
+    entry in [1/2, 1), 2^-a x and 2^-b y, the product of those largest
+    entries, and k = -a - b: the bracket is 2^k times that of r, and no
+    product overflows.  Scaling each vector on its own keeps a small y
+    from underflowing against a large x or z."""
+    (mx, a), (my, b) = (np.frexp(np.abs(v).max()) for v in (r.x, r.y))
+    x, y = np.ldexp(r.x, -a), np.ldexp(r.y, -b)
+    return x[0] * y[1] - x[1] * y[0], mx * my, -a - b
 
 
 def is_representation(r):
-    """The two generator images commute iff x1 y2 = x2 y1, within 1e-10
-    times the scale; the bound is scaled by 2^k, as the bracket is."""
-    b, k = _scaled_bracket(r)
-    return abs(b) <= np.ldexp(1e-10 * r.scale(), k)
+    """The two generator images commute iff x1 y2 = x2 y1: the scaled
+    bracket is at most 1e-10 |x| |y|, so c r gets the answer of r."""
+    b, size, _ = _scaled_bracket(r)
+    return abs(b) <= 1e-10 * size
 
 
 def conjugate_rep(r, g, h):
@@ -121,7 +121,8 @@ def classify(r):
 
     Central: x = y = 0.  NotFaithful: the 2x3 coordinate matrix has rank
     below 2.  FaithfulNotFree: faithful but y = 0.  Otherwise Holonomy,
-    split into Translation (x = 0) and Shear."""
+    split into Translation (x = 0) and Shear.  Each test is relative to
+    the scale of r, so c r has the class of r."""
     if not is_representation(r):
         raise NotARepresentation("generators do not commute")
     sc = r.scale()
@@ -130,7 +131,7 @@ def classify(r):
     M = np.array([[r.x[0], r.y[0], r.z[0]],
                   [r.x[1], r.y[1], r.z[1]]])
     sv = np.linalg.svd(M, compute_uv=False)
-    if sv[1] <= 1e-10 * (sv[0] + 1.0):
+    if sv[1] <= 1e-10 * sv[0]:
         return ("NotFaithful", None)
     if np.abs(r.y).max() <= 1e-12 * sc:
         return ("FaithfulNotFree", None)

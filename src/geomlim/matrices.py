@@ -11,6 +11,13 @@ X = QS + lambda*QT with S skew and T symmetric, so its coefficient grids
 do not depend on delta and are built once per size.  Grids the library
 has just computed are wrapped as they are, without the copy and checks
 of the public constructor.
+
+Membership tests take a residual as zero when it is finite and at most
+1e-9 (is_unitary's tol; 1e-10 for a pairing) times max(1, s), s the scale
+its formula fixes in the largest entries |.|: |A|^2 |Q| for each grid of
+dagger(A) Q A - Q, but |X|^2 |Q| and |X| |A| |Q| over the dual numbers
+(A = X + lambda Y; lambda -> c lambda is an automorphism there), and |A|
+for entries of A.  A rank is cut at 1e-9 of the largest singular value.
 """
 
 import math
@@ -39,6 +46,13 @@ class Singular(ValueError):
 
 class PairingNotOne(ValueError):
     pass
+
+
+_TOL = 1e-9  # the tolerance of the rule in the module docstring
+
+
+def _negligible(residual, scale, tol=_TOL):
+    return math.isfinite(residual) and residual <= tol * max(1.0, scale)
 
 
 class AlgMatrix:
@@ -234,27 +248,27 @@ def standard_form(n, delta):
     return AlgMatrix(Q, None, delta)
 
 
-def is_unitary(A, Q, tol=1e-9):
-    """Does A preserve the Hermitian form Q, i.e. dagger(A) Q A = Q?"""
+def is_unitary(A, Q, tol=_TOL):
+    """Does A preserve the form Q, dagger(A) Q A = Q, to relative tol?"""
     A._check(Q)
     R = dagger(A) @ Q @ A - Q
-    return R.max_abs() <= tol
+    a = A.max_abs()
+    x = a if A.delta else np.abs(A.re).max()  # units mix grids if delta != 0
+    return (_negligible(np.abs(R.re).max(), x * x * Q.max_abs(), tol)
+            and _negligible(np.abs(R.im).max(), x * a * Q.max_abs(), tol))
 
 
 def is_stabilizer(A, Q):
-    """Is the Q-unitary A block diagonal diag(B, u) with u of unit norm,
-    within 1e-9, i.e. in the stabilizer of the last coordinate line?"""
+    """Is the Q-unitary A diag(B, u), u of unit norm (scales |A| and
+    |u|^2), i.e. in the stabilizer of the last coordinate line?"""
     if not is_unitary(A, Q):
         raise NotUnitary("matrix does not preserve the form")
     n = A.n - 1
-    off = max(
-        np.abs(A.re[n, :n]).max(initial=0.0),
-        np.abs(A.im[n, :n]).max(initial=0.0),
-        np.abs(A.re[:n, n]).max(initial=0.0),
-        np.abs(A.im[:n, n]).max(initial=0.0),
-    )
+    G = np.abs(np.stack([A.re, A.im]))
+    off = max(G[:, n, :n].max(initial=0.0), G[:, :n, n].max(initial=0.0))
     u = A.entry(n, n)
-    return off <= 1e-9 and abs(algebra.norm(u) - 1.0) <= 1e-9
+    return (_negligible(off, G.max())
+            and _negligible(abs(algebra.norm(u) - 1.0), G[:, n, n].max() ** 2))
 
 
 # _u_lie_blocks keeps the blocks of each n whose S and T blocks take at
@@ -311,10 +325,10 @@ def u_lie_basis(n, delta):
 
 
 def rr_to_unitary(X, n=None):
-    """The split-algebra unitary matrix X e+ + X^-T e- built from an
-    invertible real matrix; lands in the unitary group of the identity form."""
+    """The split-algebra unitary matrix X e+ + X^-T e- of a real X of full
+    numerical rank, unitary for the identity form."""
     X = np.array(X, dtype=float)
-    if abs(np.linalg.det(X)) <= 1e-12:
+    if np.linalg.matrix_rank(X) < len(X):
         raise Singular("input not invertible")
     Y = np.linalg.inv(X).T
     return AlgMatrix(0.5 * (X + Y), 0.5 * (X - Y), 1.0)
@@ -322,27 +336,23 @@ def rr_to_unitary(X, n=None):
 
 def reps_eps_decompose(M, Q):
     """Split a dual-number matrix M = X + eY and test membership in the
-    unitary group of Q: X^T Q X = Q and X^T Q Y symmetric, within 1e-8."""
+    unitary group of real Q: X^T Q X = Q and X^T Q Y symmetric, the two
+    grids of is_unitary's test (scales |X|^2 |Q| and |X| |M| |Q|)."""
     if M.delta != 0:
         raise DeltaMismatch("expected delta = 0")
-    X, Y = M.re, M.im
-    Qr = Q.re
-    r1 = np.abs(X.T @ Qr @ X - Qr).max()
-    S = X.T @ Qr @ Y
-    r2 = np.abs(S - S.T).max()
-    return X, Y, bool(r1 <= 1e-8 and r2 <= 1e-8)
+    return M.re, M.im, bool(is_unitary(M, AlgMatrix(Q.re, None, 0.0)))
 
 
 def point_hyperplane_complete(phi, v):
     """Invertible X whose first column is v and whose inverse has first
-    row phi; requires the pairing phi.v = 1.
+    row phi; requires phi.v = 1 at the scale |phi|.|v| of the dot product.
 
     Follows the constructive recipe: complete v to an invertible matrix,
     express phi in the row basis of its inverse (the leading coefficient is
     forced to be 1), and correct by a unitriangular factor."""
     phi = np.asarray(phi, dtype=float)
     v = np.asarray(v, dtype=float)
-    if abs(phi @ v - 1.0) > 1e-10:
+    if not _negligible(abs(phi @ v - 1.0), np.abs(phi) @ np.abs(v), 1e-10):
         raise PairingNotOne("pairing is {}, need 1".format(phi @ v))
     n = len(v)
     j = int(np.argmax(np.abs(v)))
@@ -377,32 +387,16 @@ def pairing_coordinate_change_inverse(phi, v):
 
 
 def submersion_rank_check(A, Q):
-    """Finite-difference rank test of X -> dagger(X) Q X at A.
-
-    Central differences of step 1e-6 along all 2n^2 real coordinate
-    directions; true when the difference vectors span the n^2-dimensional
-    space of Hermitian matrices over the algebra."""
+    """Rank test of X -> dagger(X) Q X at A: its exact differential
+    E -> dagger(E) Q A + dagger(A) Q E (the map is quadratic) must map the
+    2n^2 real coordinate directions onto a spanning set of the
+    n^2-dimensional space of Hermitian matrices over the algebra."""
     n = A.n
-    h = 1e-6
-
-    def f(M):
-        H = dagger(M) @ Q @ M
-        return np.concatenate([H.re.ravel(), H.im.ravel()])
-
+    QA, AQ = Q @ A, dagger(A) @ Q
     cols = []
-    for part in ("re", "im"):
-        for i in range(n):
-            for j in range(n):
-                E = np.zeros((n, n))
-                E[i, j] = h
-                if part == "re":
-                    P = AlgMatrix(A.re + E, A.im, A.delta)
-                    M_ = AlgMatrix(A.re - E, A.im, A.delta)
-                else:
-                    P = AlgMatrix(A.re, A.im + E, A.delta)
-                    M_ = AlgMatrix(A.re, A.im - E, A.delta)
-                cols.append((f(P) - f(M_)) / (2 * h))
+    for re, im in np.eye(2 * n * n).reshape(-1, 2, n, n):
+        E = AlgMatrix._wrap(re, im, A.delta)
+        D = dagger(E) @ QA + AQ @ E
+        cols.append(np.concatenate([D.re.ravel(), D.im.ravel()]))
     J = np.column_stack(cols)
-    s = np.linalg.svd(J, compute_uv=False)
-    rank = int(np.sum(s > 1e-6))
-    return rank == n * n
+    return np.linalg.matrix_rank(J, tol=_TOL * np.linalg.norm(J, 2)) == n * n

@@ -98,8 +98,9 @@ def geodesic_midpoint(m, p, q):
 
 
 class Parallelogram:
-    """Four cyclically ordered affine vertices with centroid at the
-    origin, so the half-turn diag(-1,-1,1) pairs opposite sides."""
+    """Four cyclically ordered affine vertices, opposite ones antipodal,
+    so the half-turn diag(-1,-1,1) about their centroid, the origin, pairs
+    opposite sides.  The checks are relative to the size of the vertices."""
 
     def __init__(self, vertices):
         V = np.asarray(vertices, dtype=float)
@@ -107,13 +108,12 @@ class Parallelogram:
             raise ValueError("need four plane vertices")
         if not np.isfinite(V).all():
             raise ValueError("vertices must be finite")
-        if np.abs(V.sum(axis=0)).max() > 4e-12:
-            raise ValueError("centroid must be the origin")
-        if np.abs(V[0] + V[2]).max() > 1e-12 or np.abs(V[1] + V[3]).max() > 1e-12:
+        if np.abs(V[:2] + V[2:]).max() > 1e-12 * np.abs(V).max():
             raise ValueError("opposite vertices must be antipodal")
         e1 = V[1] - V[0]
         e2 = V[3] - V[0]
-        if abs(e1[0] * e2[1] - e1[1] * e2[0]) < 1e-12:
+        if abs(e1[0] * e2[1] - e1[1] * e2[0]) \
+                <= 1e-12 * math.hypot(*e1) * math.hypot(*e2):
             raise ValueError("degenerate (collinear) vertices")
         self.vertices = V
 

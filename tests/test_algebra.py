@@ -2,7 +2,7 @@ import math
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from geomlim import algebra as alg
 from geomlim.algebra import AlgScalar
@@ -163,3 +163,27 @@ def test_coercion_accepts_only_real_numbers():
                 op(o)
         assert x != o and not o == x
     assert not AlgScalar(1.0) == "1"
+
+
+# c = 10^e for e in [-8, 8]
+scales = st.floats(min_value=-8.0, max_value=8.0).map(lambda e: 10.0 ** e)
+
+
+@given(b=st.floats(min_value=-4, max_value=4),
+       d=st.floats(min_value=0.1, max_value=4),
+       r=st.floats(min_value=0.1, max_value=10),
+       sign=st.sampled_from([1.0, -1.0]), delta=deltas, c=scales)
+@example(b=0.0, d=1.0, r=1.0, sign=1.0, delta=-1.0, c=1e-6)
+@example(b=0.0, d=1.0, r=1.0, sign=1.0, delta=2.0, c=1e8)
+def test_zero_divisors_ignore_scale(b, d, r, sign, delta, c):
+    # |a| >= |b| sqrt|delta| + d keeps the norm at least d^2
+    a = sign * (abs(b) * max(1.0, math.sqrt(abs(delta))) + d)
+    x = scal(c * a, c * b, delta)
+    assert not alg.is_zero_divisor(x)
+    assert close(alg.mul(x, alg.inv(x)), alg.one(delta))
+    # c r (sqrt(delta) + lambda) for delta >= 0 has zero norm, as has 0
+    zero = scal(c * r * math.sqrt(max(delta, 0.0)),
+                c * r if delta >= 0 else 0.0, delta)
+    assert alg.is_zero_divisor(zero)
+    with pytest.raises(alg.ZeroDivisor):
+        alg.inv(zero)

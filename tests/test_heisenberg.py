@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from geomlim import heisenberg as heis
 from geomlim.heisenberg import HeisRep
@@ -201,3 +201,37 @@ def test_bracket_near_overflow():
     for _ in range(50):
         r = HeisRep(*rng.standard_normal((3, 2)) * 10.0)
         assert r.bracket() == r.x[0] * r.y[1] - r.x[1] * r.y[0]
+
+
+# c = 10^e for e in [-8, 8]
+scales = st.floats(min_value=-8.0, max_value=8.0).map(lambda e: 10.0 ** e)
+nonzero = st.tuples(st.floats(min_value=0.1, max_value=3.0),
+                    st.sampled_from([1.0, -1.0])).map(lambda p: p[0] * p[1])
+CLASSES = {"Central": ("Central", None), "NotFaithful": ("NotFaithful", None),
+           "FaithfulNotFree": ("FaithfulNotFree", None),
+           "Translation": ("Holonomy", "Translation"),
+           "Shear": ("Holonomy", "Shear")}
+
+
+@given(klass=st.sampled_from(sorted(CLASSES)),
+       theta=st.floats(min_value=0.0, max_value=2 * np.pi),
+       rho=st.floats(min_value=0.1, max_value=10.0), a=nonzero, b=nonzero,
+       e=st.floats(min_value=-3.0, max_value=3.0), f=nonzero, c=scales)
+@example(klass="Shear", theta=0.0, rho=1.0, a=1.0, b=1.0, e=0.0, f=1.0,
+         c=1e-12)
+def test_classes_ignore_scale(klass, theta, rho, a, b, e, f, c):
+    # x and y along d (x || y, so they commute), z off d unless NotFaithful
+    d = rho * np.array([np.cos(theta), np.sin(theta)])
+    perp = np.array([-d[1], d[0]])
+    zero = np.zeros(2)
+    x, y, z = {"Central": (zero, zero, e * d + f * perp),
+               "NotFaithful": (a * d, b * d, e * d),
+               "FaithfulNotFree": (a * d, zero, e * d + f * perp),
+               "Translation": (zero, b * d, e * d + f * perp),
+               "Shear": (a * d, b * d, e * d + f * perp)}[klass]
+    r = HeisRep(c * x, c * y, c * z)
+    assert heis.is_representation(r)
+    assert heis.classify(r) == CLASSES[klass]
+    assert heis.classify(HeisRep(zero, zero, zero)) == ("Central", None)
+    # x across y: the bracket is a b rho^2 c^2, far from zero at every scale
+    assert not heis.is_representation(HeisRep(c * a * d, c * b * perp, z))

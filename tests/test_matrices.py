@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, strategies as st
 
 from geomlim import algebra as alg
 from geomlim import matrices as mat
@@ -352,3 +353,138 @@ def test_submersion_rank():
     assert mat.submersion_rank_check(A, Q)
     Z = AlgMatrix(np.zeros((3, 3)), None, -1.0)
     assert not mat.submersion_rank_check(Z, Q)
+
+
+# c = 10^e for e in [-8, 8]
+scales = st.floats(min_value=-8.0, max_value=8.0).map(lambda e: 10.0 ** e)
+# entries of E with I + E invertible for every delta: |E +- lambda F| < 1
+small = st.floats(min_value=-0.15, max_value=0.15)
+
+
+@given(delta=st.sampled_from([-1.0, 0.0, 1.0]),
+       s=st.floats(min_value=1.0, max_value=20.0))
+@example(delta=-1.0, s=15.0)
+@example(delta=0.0, s=15.0)
+@example(delta=1.0, s=15.0)
+def test_exp_of_a_boost_stays_unitary(delta, s):
+    # the boost mixes coordinates 0 and 2; its entries cosh(s / sqrt 2)
+    # reach 1e6 near s = 20.5, and its residual is roundoff of |A|^2
+    Q = mat.standard_form(2, delta)
+    A = mat.exp_delta(s * mat.u_lie_basis(2, delta)[1])
+    assert mat.is_unitary(A, Q)
+    assert not mat.is_stabilizer(A, Q)
+    # doubling row 0 leaves dagger(A) diag(3, 0, 0) A, of size 3 |A|^2
+    D = AlgMatrix(np.diag([2.0, 1.0, 1.0]), None, delta)
+    assert not mat.is_unitary(D @ A, Q)
+    with pytest.raises(mat.NotUnitary):
+        mat.is_stabilizer(D @ A, Q)
+
+
+@given(c=st.floats(min_value=0.0, max_value=5.0).map(lambda e: 10.0 ** e),
+       theta=st.floats(min_value=0.0, max_value=2 * np.pi))
+@example(c=1e4, theta=0.0)
+@example(c=1e5, theta=0.0)  # X = diag(1e5, 1e-5), condition number 1e10
+def test_split_stabilizer_of_any_size(c, theta):
+    # diag(U, 1), U unitary for the identity 2x2 form, fixes the last
+    # coordinate line of the (2, 1) form
+    R = np.array([[np.cos(theta), -np.sin(theta)],
+                  [np.sin(theta), np.cos(theta)]])
+    U = mat.rr_to_unitary(R @ np.diag([c, 1.0 / c]))
+    A = AlgMatrix.identity(3, 1.0)
+    A.re[:2, :2], A.im[:2, :2] = U.re, U.im
+    assert mat.is_stabilizer(A, mat.standard_form(2, 1.0))
+
+
+@given(c=st.floats(min_value=0.0, max_value=5.0).map(lambda e: 10.0 ** e))
+@example(c=1e5)
+def test_moved_line_is_not_a_stabilizer(c):
+    # A = G e+ + Q G^-T Q e- is Q-unitary for every invertible real G.
+    # G = diag(1, c, 1) + 1e-2 E_02 keeps u = 1, of unit norm, but puts
+    # entries of 5e-3 in row and column 2, far above 1e-9 c
+    Q = mat.standard_form(2, 1.0)
+    G = np.diag([1.0, c, 1.0])
+    for g, moved in ((0.0, False), (1e-2, True)):
+        G[0, 2] = g
+        H = Q.re @ np.linalg.inv(G).T @ Q.re
+        A = AlgMatrix(0.5 * (G + H), 0.5 * (G - H), 1.0)
+        assert mat.is_unitary(A, Q)
+        assert mat.is_stabilizer(A, Q) == (not moved)
+
+
+@given(tau=st.floats(min_value=0.0, max_value=20.0),
+       t=st.lists(st.floats(min_value=-3.0, max_value=3.0),
+                  min_size=6, max_size=6))
+@example(tau=10.0, t=[1.0, -2.0, 0.5, 3.0, 0.25, -1.5])
+@example(tau=20.0, t=[0.0, 1.0, 0.0, 0.0, 1.0, 0.0])  # residual 1.0, |X||Y| 2e8
+def test_reps_eps_accepts_boosted_members(tau, t):
+    # X in O(2, 1) and Y = X Q T with T symmetric: X^T Q Y = T
+    Q = mat.standard_form(2, 0.0)
+    X = np.eye(3)
+    X[0, 0] = X[2, 2] = np.cosh(tau)
+    X[0, 2] = X[2, 0] = np.sinh(tau)
+    T = np.zeros((3, 3))
+    T[np.triu_indices(3)] = t
+    T = T + np.triu(T, 1).T
+    assert mat.reps_eps_decompose(AlgMatrix(X, X @ Q.re @ T, 0.0), Q)[2]
+    D = np.diag([2.0, 1.0, 1.0])  # D X leaves X^T diag(3, 0, 0) X
+    bad = AlgMatrix(D @ X, D @ X @ Q.re @ T, 0.0)
+    assert not mat.reps_eps_decompose(bad, Q)[2]
+    # X^T Q X - Q = 2e-3 Q is roundoff of neither |X|^2 nor of a large Y
+    big = AlgMatrix(1.001 * np.eye(3), 1e6 * Q.re @ T, 0.0)
+    assert not mat.reps_eps_decompose(big, Q)[2]
+    assert not mat.is_unitary(big, Q)
+
+
+@given(delta=st.sampled_from([-1.0, 0.0, 1.0]), c=scales,
+       re=st.lists(small, min_size=9, max_size=9),
+       im=st.lists(small, min_size=9, max_size=9))
+@example(delta=-1.0, c=1e-6, re=[0.0] * 9, im=[0.0] * 9)
+@example(delta=0.0, c=1e-8, re=[0.0] * 9, im=[0.0] * 9)
+def test_submersion_rank_check_ignores_scale(delta, c, re, im):
+    Q = mat.standard_form(2, delta)
+    A = AlgMatrix(np.eye(3) + np.reshape(re, (3, 3)), np.reshape(im, (3, 3)),
+                  delta)
+    assert mat.submersion_rank_check(c * A, Q)
+    # for v in the kernel of a singular A, v^H D v = 0 for every image D
+    A.re[:, 2] = A.im[:, 2] = 0.0
+    assert not mat.submersion_rank_check(c * A, Q)
+
+
+@given(c=scales, e=st.lists(small, min_size=4, max_size=4))
+@example(c=1e-7, e=[0.0] * 4)
+def test_rr_to_unitary_ignores_scale(c, e):
+    X = c * (np.eye(2) + np.reshape(e, (2, 2)))
+    assert mat.is_unitary(mat.rr_to_unitary(X), AlgMatrix.identity(2, 1.0))
+    X[1] = 0.0
+    with pytest.raises(mat.Singular):
+        mat.rr_to_unitary(X)
+    # ill-conditioned but invertible, with an exact inverse
+    U = mat.rr_to_unitary(c * np.diag([1e5, 1e-5]))
+    assert mat.is_unitary(U, AlgMatrix.identity(2, 1.0))
+
+
+@given(x=st.floats(min_value=1.0, max_value=1e8))
+@example(x=98765432.1)
+def test_point_hyperplane_pairing_is_relative(x):
+    # phi.v = 3 fl(x + 1/3) - 3 x is 1 up to roundoff of size |phi|.|v|
+    v = np.array([3.0, 3.0, 0.0])
+    X = mat.point_hyperplane_complete([x + 1 / 3, -x, 0.3], v)
+    assert np.array_equal(X[:, 0], v)
+    with pytest.raises(mat.PairingNotOne):
+        mat.point_hyperplane_complete([x + 2 / 3, -x, 0.3], v)
+    with pytest.raises(mat.PairingNotOne):  # 5e-10 off at unit scale
+        mat.point_hyperplane_complete([1 + 5e-10, 0.0, 0.0], [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("delta", [-1.0, 0.0, 1.0])
+def test_overflowing_residuals_are_refused(delta):
+    # residual and scale both overflow to inf; an inf residual is not zero
+    A = AlgMatrix(1e200 * np.eye(3), None, delta)
+    Q = mat.standard_form(2, delta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not mat.is_unitary(A, Q)
+        with pytest.raises(mat.NotUnitary):
+            mat.is_stabilizer(A, Q)
+        with pytest.raises(mat.PairingNotOne):
+            mat.point_hyperplane_complete([1e200, 0.0, 0.0],
+                                          [1e200, 0.0, 0.0])

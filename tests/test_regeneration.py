@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from geomlim import regeneration as regen
 from geomlim.limits import MonomialDiagonal
@@ -285,3 +285,24 @@ def test_area_distortion():
         out = regen.area_distortion_check(kind, 0.1, 0.1, tris)
         assert out["pass"]
         assert out["low"] <= out["high"]
+
+
+# c = 10^e for e in [-8, 8]
+scales = st.floats(min_value=-8.0, max_value=8.0).map(lambda e: 10.0 ** e)
+
+
+@given(ra=st.floats(min_value=0.1, max_value=1.0),
+       rb=st.floats(min_value=0.1, max_value=1.0),
+       alpha=st.floats(min_value=0.0, max_value=2 * np.pi),
+       beta=st.floats(min_value=0.1, max_value=np.pi - 0.1), c=scales)
+@example(ra=0.3, rb=0.7, alpha=1.0, beta=2.0, c=1e6)
+@example(ra=0.5, rb=0.5, alpha=0.0, beta=1.5, c=1e-7)
+def test_parallelogram_checks_ignore_scale(ra, rb, alpha, beta, c):
+    p = c * ra * np.array([np.cos(alpha), np.sin(alpha)])
+    q = c * rb * np.array([np.cos(alpha + beta), np.sin(alpha + beta)])
+    Parallelogram([p, q, -p, -q])
+    Parallelogram.square(c)
+    with pytest.raises(ValueError, match="antipodal"):
+        Parallelogram([p, q, -p + [0.125 * c, 0.0], -q])
+    with pytest.raises(ValueError, match="collinear"):
+        Parallelogram([p, 2 * p, -p, -2 * p])
