@@ -4,8 +4,10 @@ Elements are a + lambda*b where lambda squares to a real parameter delta.
 Negative delta gives (a copy of) the complex numbers, delta = 0 the dual
 numbers, positive delta the split-complex numbers R+R.
 
-x is a zero divisor when |norm(x)| <= 1e-12 (|a| + |b|)^2, or underflows:
-the test is of degree 2, as the norm is, so x and c x get one answer.
+x is a zero divisor when |norm(x)| <= 1e-12 (|a| + |b|)^2, or its inverse
+is past the float range: the test is of degree 2, as the norm is, so x
+and c x get one answer.  It is made on x scaled by a power of two, so
+neither the norm nor the tolerance over- or underflows.
 """
 
 import math
@@ -17,7 +19,7 @@ class DeltaMismatch(ValueError):
 
 
 class ZeroDivisor(ZeroDivisionError, ValueError):
-    """Raised when inverting an element of zero norm."""
+    """Raised when inverting an element that has no inverse."""
 
 
 class NotSplit(ValueError):
@@ -124,24 +126,31 @@ def norm(x):
     return x.re * x.re - x.delta * x.im * x.im
 
 
-def tau_zero(x):
-    """Zero-divisor tolerance for x: 1e-12 (|re| + |im|)^2, and at least
-    the smallest normal float, below which the norm has lost precision."""
-    s = abs(x.re) + abs(x.im)
-    return max(1e-12 * s * s, 2.0 ** -1022)
-
-
 def is_zero_divisor(x):
-    """True when x has (numerically) zero norm, i.e. no inverse."""
-    return abs(norm(x)) <= tau_zero(x)
+    """True when x has no inverse (see inv)."""
+    try:
+        inv(x)
+    except ZeroDivisor:
+        return True
+    return False
 
 
 def inv(x):
-    """Inverse conj(x)/norm(x); raises ZeroDivisor on zero-norm elements."""
-    n = norm(x)
-    if abs(n) <= tau_zero(x):
+    """Inverse conj(x)/norm(x), of x scaled by 2^-k (k the binary
+    exponent of its larger component, so no digit changes) and scaled
+    back; raises ZeroDivisor when x is a zero divisor."""
+    k = math.frexp(max(abs(x.re), abs(x.im)))[1]
+    a, b = math.ldexp(x.re, -k), math.ldexp(x.im, -k)
+    n = a * a - x.delta * b * b
+    s = abs(a) + abs(b)
+    if abs(n) <= 1e-12 * s * s:
         raise ZeroDivisor("element of zero norm: {!r}".format(x))
-    return AlgScalar(x.re / n, -x.im / n, x.delta)
+    try:
+        return AlgScalar(math.ldexp(a / n, -k), math.ldexp(-b / n, -k),
+                         x.delta)
+    except OverflowError:
+        raise ZeroDivisor(
+            "inverse of {!r} is past the float range".format(x)) from None
 
 
 def idempotents(delta):

@@ -404,7 +404,8 @@ def run(argv):
                 args.cmd, ", ".join(formats)))
         result = COMMANDS[args.cmd](args)
         if not isinstance(result, str):
-            result = json.dumps(result, sort_keys=True, indent=2) + "\n"
+            result = json.dumps(result, sort_keys=True, indent=2,
+                                allow_nan=False) + "\n"
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(result)

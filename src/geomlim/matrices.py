@@ -324,7 +324,7 @@ def u_lie_basis(n, delta):
                for Z, B in zip(zeros[len(S):], T)])
 
 
-def rr_to_unitary(X, n=None):
+def rr_to_unitary(X):
     """The split-algebra unitary matrix X e+ + X^-T e- of a real X of full
     numerical rank, unitary for the identity form."""
     X = np.array(X, dtype=float)

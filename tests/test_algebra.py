@@ -85,6 +85,7 @@ def test_conj_involution_and_norm(a, b, delta):
 
 
 @given(reals, reals, deltas)
+@example(a=0.0, b=5e-324, delta=-2.0)  # an inverse past the float range
 def test_inverse(a, b, delta):
     x = scal(a, b, delta)
     if alg.is_zero_divisor(x):
@@ -165,8 +166,9 @@ def test_coercion_accepts_only_real_numbers():
     assert not AlgScalar(1.0) == "1"
 
 
-# c = 10^e for e in [-8, 8]
-scales = st.floats(min_value=-8.0, max_value=8.0).map(lambda e: 10.0 ** e)
+# c = 10^e for e in [-300, 300], where norm(c x) under- or overflows
+scales = st.floats(min_value=-300.0, max_value=300.0).map(
+    lambda e: 10.0 ** e)
 
 
 @given(b=st.floats(min_value=-4, max_value=4),
@@ -175,6 +177,9 @@ scales = st.floats(min_value=-8.0, max_value=8.0).map(lambda e: 10.0 ** e)
        sign=st.sampled_from([1.0, -1.0]), delta=deltas, c=scales)
 @example(b=0.0, d=1.0, r=1.0, sign=1.0, delta=-1.0, c=1e-6)
 @example(b=0.0, d=1.0, r=1.0, sign=1.0, delta=2.0, c=1e8)
+@example(b=0.0, d=1.0, r=1.0, sign=1.0, delta=-1.0, c=1.4e154)
+@example(b=0.0, d=1.0, r=1.0, sign=1.0, delta=-1.0, c=1.4e161)
+@example(b=0.0, d=1.0, r=1.0, sign=1.0, delta=-1.0, c=1e-200)
 def test_zero_divisors_ignore_scale(b, d, r, sign, delta, c):
     # |a| >= |b| sqrt|delta| + d keeps the norm at least d^2
     a = sign * (abs(b) * max(1.0, math.sqrt(abs(delta))) + d)
@@ -187,3 +192,4 @@ def test_zero_divisors_ignore_scale(b, d, r, sign, delta, c):
     assert alg.is_zero_divisor(zero)
     with pytest.raises(alg.ZeroDivisor):
         alg.inv(zero)
+

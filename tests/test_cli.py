@@ -99,6 +99,9 @@ NAN = float("nan")
     ["regen", "--grid", "1:3:3", "--format", "svg", "--input", JOB],
     ["algebra", "idempotents", "--delta", "1", "--format", "csv"],
     ["algebra", "mul", "--a", '{"re":"x","delta":0}'],
+    # norms past the float range have no JSON representation
+    ["algebra", "norm", "--a", '{"re":1e200,"delta":-1}'],
+    ["algebra", "norm", "--a", '{"re":1e200,"im":1e200,"delta":1}'],
     ["regen", "--input", dict(JOB, t_grid=[1e100, 1e200, 1e300])],
     ["regen", "--input",
      dict(JOB, D_path="t^1,t^1/2,1", t_grid=[-10, -100, -1000])],

@@ -209,12 +209,9 @@ def test_side_pairing_outside_domain():
         regen.side_pairing(m, Parallelogram.square(3.0))
 
 
-def test_in_heis_and_normalize():
+def test_projective_normalize():
     M = np.array([[1.0, 0.3, 0.2], [0, 1.0, -0.1], [0, 0, 1.0]])
-    assert regen.in_heis(2.0 * M)
-    M2 = M.copy()
-    M2[2, 0] = 0.01
-    assert not regen.in_heis(M2)
+    assert np.array_equal(regen.projective_normalize(2.0 * M), M)
 
 
 def test_heisenberg_criterion():
@@ -262,6 +259,94 @@ def test_regenerate_trace_rejects_bad_paths():
     out = regen.regenerate_trace("euclidean", flat,
                                  Parallelogram.square(0.2), [1.0, 2.0, 4.0])
     assert len(out["samples"]) == 3
+
+
+SEEDED = np.random.default_rng(13).uniform(-0.5, 0.5, (2, 2)).tolist()
+
+
+@pytest.mark.parametrize("kind", regen.KINDS)
+@pytest.mark.parametrize("vertices", [
+    SHAPES["diamond"], SEEDED + [[-x, -y] for x, y in SEEDED]])
+@pytest.mark.parametrize("t_grid", [[10.0], [1.0, 2.0, 3.0],
+                                    np.logspace(0, 2, 400)])
+def test_limits_are_the_translations(kind, vertices, t_grid):
+    # the README square (diamond) and a seeded parallelogram, on every
+    # grid however short: A_inf by v4 - v1, B_inf by v1 - v2
+    Q = Parallelogram(vertices)
+    trace = regen.regenerate_trace(kind, heis_path(), Q, t_grid)
+    V = Q.vertices
+    A, B = np.eye(3), np.eye(3)
+    A[:2, 2] = V[3] - V[0]
+    B[:2, 2] = V[0] - V[1]
+    assert np.array_equal(trace["A_inf"], A)
+    assert np.array_equal(trace["B_inf"], B)
+    assert trace["limit_in_heis"] is True
+
+
+def _mp_pairings(mp, kind, D, V):
+    """side_pairing's half-turn formula, H D R_c D^-1, in mpmath."""
+    k = regen.CURVATURE[kind]
+    H = mp.diag([-1, -1, 1])
+    Dm = mp.diag([D[0], D[1], 1])
+    out = []
+    for p, q in ((V[0], V[1]), (V[1], V[2])):
+        ends = [[x / d for x, d in zip(v, D)] for v in (p, q)]
+        if kind == "euclidean":
+            c = [(a + b) / 2 for a, b in zip(*ends)]
+        else:
+            w = [0, 0, 0]
+            for a in ends:
+                s = mp.sqrt(1 + k * (a[0] ** 2 + a[1] ** 2))
+                w = [wi + xi / s for wi, xi in zip(w, (a[0], a[1], 1))]
+            c = [w[0] / w[2], w[1] / w[2]]
+        u = mp.matrix([c[0], c[1], 1])
+        Gu = mp.matrix([k * c[0], k * c[1], 1])
+        R = 2 * u * Gu.T / (u.T * Gu)[0] - mp.eye(3)
+        M = H * Dm * R * mp.inverse(Dm)
+        out.append(M / M[2, 2])
+    return out
+
+
+@pytest.mark.parametrize("kind", regen.KINDS)
+@pytest.mark.parametrize("entries, e2", [
+    ([(1.0, Fraction(3)), (1.0, Fraction(1, 2))], 0.5),
+    ([(2.0, Fraction(2)), (0.5, Fraction(1))], 1.0),
+    ([(1.0, Fraction(5, 2)), (1.0, Fraction(2))], 2.0),
+])
+def test_pairings_converge_to_the_translations(kind, entries, e2):
+    # At 50 digits, max|A(t) - A_inf| decays like t^(-2 e2) in the curved
+    # kinds and vanishes in the Euclidean one: the translations are the
+    # limits, and A_inf, B_inf are them to rounding.
+    mp = pytest.importorskip("mpmath")
+    path = MonomialDiagonal(entries + [(1.0, Fraction(0))])
+    Q = Parallelogram(SHAPES["skew"])
+    ts = [10.0 ** j for j in range(2, 7)]
+    trace = regen.regenerate_trace(kind, path, Q, ts)
+    errs = []
+    with mp.workdps(50):
+        V = [[mp.mpf(float(x)) for x in v] for v in Q.vertices]
+        limits = []
+        for i, j in ((3, 0), (0, 1)):
+            T = mp.eye(3)
+            T[0, 2], T[1, 2] = V[i][0] - V[j][0], V[i][1] - V[j][1]
+            limits.append(T)
+        for T, got in zip(limits, (trace["A_inf"], trace["B_inf"])):
+            assert mp.mnorm(T - mp.matrix(got.tolist()), 1) <= 1e-16
+        for t in ts:
+            D = [c * mp.mpf(t) ** (mp.mpf(e.numerator) / e.denominator)
+                 for c, e in entries]
+            errs.append(max(
+                abs(M[i, j] - T[i, j]) for i in range(3) for j in range(3)
+                for M, T in zip(_mp_pairings(mp, kind, D, V), limits)))
+    if kind == "euclidean":
+        assert max(errs) <= 1e-15
+        for s in trace["samples"]:
+            assert np.abs(s["A"] - trace["A_inf"]).max() <= 1e-15
+            assert np.abs(s["B"] - trace["B_inf"]).max() <= 1e-15
+    else:
+        logs = [float(mp.log(err)) for err in errs]
+        slope = -np.polyfit(np.log(ts), logs, 1)[0]
+        assert abs(slope - 2 * e2) <= 0.05
 
 
 def test_midpoint_bound():
