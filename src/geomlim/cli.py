@@ -6,8 +6,11 @@ The library raises a ValueError for input outside its domain; ``run`` is
 the one place that turns it into exit 2, and the one place that writes
 command output.
 
-numpy and the library modules are imported by the functions that use
-them, so ``poset``, ``cells`` and ``algebra`` run without loading numpy.
+numpy, ``fractions`` and the library modules are imported by the
+functions that use them, so ``poset``, ``cells`` and ``algebra`` run
+without loading numpy, and ``algebra`` without ``fractions``.  ``run``
+builds the parser of the named subcommand only, and all six for the
+top-level help.
 """
 
 import argparse
@@ -15,7 +18,6 @@ import io
 import json
 import re
 import sys
-from fractions import Fraction
 
 _TERM = re.compile(
     r"^\s*(?:(?P<coeff>[+-]?\d+(?:\.\d+)?)\s*\*?\s*)?"
@@ -36,6 +38,8 @@ class _Parser(argparse.ArgumentParser):
 def parse_monomial_path(text):
     """Parse 'c*t^e' terms, comma separated; coefficients default to 1,
     exponents are rational p/q."""
+    from fractions import Fraction
+
     from . import limits
 
     entries = []
@@ -321,49 +325,37 @@ def cmd_algebra(args):
     return _scalar_json(algebra.inv(x))
 
 
-def build_parser():
+# The arguments of each subcommand, as add_argument calls in help order;
+# every subcommand takes --out and --format first.
+COMMON_ARGUMENTS = [("--out", {}), ("--format", {})]
+ARGUMENTS = {
+    "limit": [
+        ("--form", {}), ("--conj", {}), ("--path", {}),
+        ("--reverse", {"action": "store_true",
+                       "help": "re-parameterize the conjugator by t -> 1/t"}),
+    ],
+    "poset": [("p", {"type": int}), ("q", {"type": int})],
+    "cells": [("n", {"type": int}), ("--poset", {"action": "store_true"})],
+    "heis": [("heis_cmd", {"choices": ["classify", "dev"]}),
+             ("--input", {}), ("--grid", {})],
+    "regen": [("--input", {}), ("--grid", {})],
+    "algebra": [
+        ("op", {"choices": ["mul", "conj", "norm", "inv", "idempotents"]}),
+        ("--a", {}), ("--b", {}), ("--delta", {"type": float}),
+    ],
+}
+
+
+def build_parser(cmd=None):
+    """The geomlim parser with the subparser of ``cmd`` alone, or with all
+    of them when ``cmd`` is None.  A subparser's prog, help and errors do
+    not depend on its siblings; only the top-level help lists them."""
     top = _Parser(prog="geomlim", add_help=True)
     sub = top.add_subparsers(dest="cmd")
-
-    def common(p):
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", default=None)
-
-    p = sub.add_parser("limit")
-    common(p)
-    p.add_argument("--form", default=None)
-    p.add_argument("--conj", default=None)
-    p.add_argument("--path", default=None)
-    p.add_argument("--reverse", action="store_true",
-                   help="re-parameterize the conjugator by t -> 1/t")
-
-    p = sub.add_parser("poset")
-    common(p)
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-
-    p = sub.add_parser("cells")
-    common(p)
-    p.add_argument("n", type=int)
-    p.add_argument("--poset", action="store_true")
-
-    p = sub.add_parser("heis")
-    common(p)
-    p.add_argument("heis_cmd", choices=["classify", "dev"])
-    p.add_argument("--input", default=None)
-    p.add_argument("--grid", default=None)
-
-    p = sub.add_parser("regen")
-    common(p)
-    p.add_argument("--input", default=None)
-    p.add_argument("--grid", default=None)
-
-    p = sub.add_parser("algebra")
-    common(p)
-    p.add_argument("op", choices=["mul", "conj", "norm", "inv", "idempotents"])
-    p.add_argument("--a", default=None)
-    p.add_argument("--b", default=None)
-    p.add_argument("--delta", type=float, default=None)
+    for name in ARGUMENTS if cmd is None else [cmd]:
+        p = sub.add_parser(name)
+        for flag, options in COMMON_ARGUMENTS + ARGUMENTS[name]:
+            p.add_argument(flag, **options)
     return top
 
 
@@ -396,7 +388,9 @@ def run(argv):
             {"error": "unknown subcommand {!r}".format(argv[0])}) + "\n")
         return 64
     try:
-        args = build_parser().parse_args(argv)
+        # the top-level help (-h, --help) lists every subcommand
+        cmd = argv[0] if argv[0] in COMMANDS else None
+        args = build_parser(cmd).parse_args(argv)
         formats = _formats(args)
         args.format = args.format or formats[0]
         if args.format not in formats:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -76,7 +77,7 @@ NAN = float("nan")
 
 
 # A dict as the last argument is written to a file and passed as its path.
-@pytest.mark.parametrize("argv", [
+INVALID_ARGVS = [
     ["poset", "0", "3"],
     ["poset", "1", "-1"],
     ["limit", "--form", "1,a,1"],
@@ -122,7 +123,10 @@ NAN = float("nan")
     # the constant form diag(1e-300, 1, 1e300): its limit is O(3), whose
     # block point has no float representation
     ["limit", "--path", "0." + "0" * 299 + "1,1,1" + "0" * 300],
-])
+]
+
+
+@pytest.mark.parametrize("argv", INVALID_ARGVS)
 def test_invalid_input_exits_2(capsys, tmp_path, argv):
     if isinstance(argv[-1], dict):
         path = tmp_path / "input.json"
@@ -342,17 +346,20 @@ def test_regen_square_limit_is_the_translation(capsys, tmp_path):
     assert doc["limit_in_heis"] is True
 
 
+# Which of numpy and fractions are loaded after each step.
 IMPORT_PROBE = """
 import contextlib, io, json, sys
+def loaded():
+    return [m for m in ("fractions", "numpy") if m in sys.modules]
 out = {}
 import geomlim
-out["geomlim"] = "numpy" in sys.modules
+out["geomlim"] = loaded()
 import geomlim.cli
-out["geomlim.cli"] = "numpy" in sys.modules
+out["geomlim.cli"] = loaded()
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = geomlim.cli.run(argv)
-    out[" ".join(argv)] = [code, "numpy" in sys.modules]
+    out[" ".join(argv)] = [code, loaded()]
 print(json.dumps(out))
 """
 
@@ -370,20 +377,21 @@ def _probe(*argvs):
 
 
 def test_combinatorics_and_algebra_do_not_import_numpy():
-    got = _probe(["poset", "1", "3"], ["cells", "3", "--poset"],
-                 ["algebra", "mul", "--a", '{"re":1,"im":2,"delta":-1}',
+    # algebra runs first: poset and cells load fractions through limits
+    got = _probe(["algebra", "mul", "--a", '{"re":1,"im":2,"delta":-1}',
                   "--b", '{"re":3,"im":-1,"delta":-1}'],
-                 ["algebra", "idempotents", "--delta", "1"])
-    assert got == {
-        "geomlim": False, "geomlim.cli": False,
-        "poset 1 3": [0, False], "cells 3 --poset": [0, False],
-        'algebra mul --a {"re":1,"im":2,"delta":-1} '
-        '--b {"re":3,"im":-1,"delta":-1}': [0, False],
-        "algebra idempotents --delta 1": [0, False],
-    }
-    # the numeric commands do load it
+                 ["algebra", "idempotents", "--delta", "1"],
+                 ["poset", "1", "3"], ["cells", "3", "--poset"])
+    assert got.pop("geomlim") == got.pop("geomlim.cli") == []
+    assert got.pop('algebra mul --a {"re":1,"im":2,"delta":-1} '
+                   '--b {"re":3,"im":-1,"delta":-1}') == [0, []]
+    assert got.pop("algebra idempotents --delta 1") == [0, []]
+    assert got == {"poset 1 3": [0, ["fractions"]],
+                   "cells 3 --poset": [0, ["fractions"]]}
+    # the numeric commands do load numpy
     got = _probe(["limit", "--form", "1,1,-1", "--conj", "t^2,t,1"])
-    assert got["limit --form 1,1,-1 --conj t^2,t,1"] == [0, True]
+    assert got["limit --form 1,1,-1 --conj t^2,t,1"] == [
+        0, ["fractions", "numpy"]]
 
 
 def test_package_attributes_load_on_first_use():
@@ -499,3 +507,62 @@ def test_run_fuzz(tmp_path):
             assert len(lines) == 1 and "error" in json.loads(lines[0])
 
     check()
+
+
+def _parse(parser, argv):
+    """What a parser makes of argv: its namespace, its InvalidInput
+    message, or the exit code and stdout of a help request."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return "namespace", vars(parser.parse_args(argv))
+    except cli.InvalidInput as exc:
+        return "invalid", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue()
+
+
+def _same_parse(argv):
+    """The parser run builds for argv treats it as the full parser does."""
+    one = cli.build_parser(argv[0] if argv[0] in cli.COMMANDS else None)
+    assert _parse(one, argv) == _parse(cli.build_parser(), argv)
+
+
+def test_one_subparser_parses_as_all_six():
+    argvs = [argv[:-1] + ["input.json"] if isinstance(argv[-1], dict)
+             else argv for argv in INVALID_ARGVS]
+    argvs += [argv for argv, _ in HELP_DIGESTS]
+    argvs += [argv for argv, _, _ in README_DIGESTS]
+    for argv in argvs:
+        _same_parse(argv)
+
+    doc_paths = ["missing.json", "bad.json"] + [
+        name + ".json" for name in FUZZ_DOCS]
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(cli_argvs(doc_paths))
+    def check(argv):
+        _same_parse(argv)
+
+    check()
+
+
+@pytest.mark.parametrize("argv, code, built", [
+    (["poset", "1", "3"], 0, ["poset"]),
+    (["cells", "x"], 2, ["cells"]),
+    (["-h"], 0, list(cli.COMMANDS)),
+    (["--help"], 0, list(cli.COMMANDS)),
+])
+def test_run_builds_only_the_named_subparser(capsys, monkeypatch, argv, code,
+                                             built):
+    calls = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        calls.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    assert run(capsys, *argv)[0] == code
+    assert calls == built
