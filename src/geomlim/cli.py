@@ -8,9 +8,9 @@ command output.
 
 numpy, ``fractions`` and the library modules are imported by the
 functions that use them, so ``poset``, ``cells`` and ``algebra`` run
-without loading numpy, and ``algebra`` without ``fractions``.  ``run``
-builds the parser of the named subcommand only, and all six for the
-top-level help.
+without loading numpy, and ``algebra`` without ``fractions``.  A named
+subcommand is parsed by its own parser alone; only the top-level help
+builds the top-level parser with all six subparsers.
 """
 
 import argparse
@@ -237,7 +237,8 @@ def cmd_heis(args):
     fxs, fys = heisenberg.developing_map(r, us, vs)
     buf = io.StringIO()
     buf.write("u,v,fx,fy\n")
-    for u, v, fx, fy in zip(us, vs, fxs, fys):
+    for u, v, fx, fy in zip(us.tolist(), vs.tolist(), fxs.tolist(),
+                            fys.tolist()):
         buf.write("{},{},{},{}\n".format(u, v, fx, fy))
     return buf.getvalue()
 
@@ -346,17 +347,34 @@ ARGUMENTS = {
 }
 
 
-def build_parser(cmd=None):
-    """The geomlim parser with the subparser of ``cmd`` alone, or with all
-    of them when ``cmd`` is None.  A subparser's prog, help and errors do
-    not depend on its siblings; only the top-level help lists them."""
-    top = _Parser(prog="geomlim", add_help=True)
+def _add_arguments(parser, name):
+    """Add the arguments of subcommand ``name`` to ``parser``."""
+    for flag, options in COMMON_ARGUMENTS + ARGUMENTS[name]:
+        parser.add_argument(flag, **options)
+    return parser
+
+
+def build_parser():
+    """The full geomlim parser: the top level and all six subparsers."""
+    top = _Parser(prog="geomlim")
     sub = top.add_subparsers(dest="cmd")
-    for name in ARGUMENTS if cmd is None else [cmd]:
-        p = sub.add_parser(name)
-        for flag, options in COMMON_ARGUMENTS + ARGUMENTS[name]:
-            p.add_argument(flag, **options)
+    for name in ARGUMENTS:
+        _add_arguments(sub.add_parser(name), name)
     return top
+
+
+def parse_args(argv):
+    """The namespace of a command line whose first word is a subcommand,
+    -h or --help.  A subcommand is parsed by its own parser alone, the one
+    build_parser's add_parser makes: class _Parser and prog "geomlim
+    <name>".  Only the top-level help builds the full parser."""
+    name = argv[0]
+    if name not in COMMANDS:
+        return build_parser().parse_args(argv)
+    args = _add_arguments(_Parser(prog="geomlim " + name), name).parse_args(
+        argv[1:])
+    args.cmd = name
+    return args
 
 
 COMMANDS = {
@@ -388,9 +406,7 @@ def run(argv):
             {"error": "unknown subcommand {!r}".format(argv[0])}) + "\n")
         return 64
     try:
-        # the top-level help (-h, --help) lists every subcommand
-        cmd = argv[0] if argv[0] in COMMANDS else None
-        args = build_parser(cmd).parse_args(argv)
+        args = parse_args(argv)
         formats = _formats(args)
         args.format = args.format or formats[0]
         if args.format not in formats:

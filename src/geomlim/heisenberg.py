@@ -46,9 +46,6 @@ class HeisRep:
         with np.errstate(over="ignore"):
             return np.ldexp(b, -k)
 
-    def scale(self):
-        return np.abs(np.concatenate([self.x, self.y, self.z])).max()
-
     def generator(self, i):
         return heis_exp(self.x[i], self.y[i], self.z[i])
 
@@ -99,43 +96,60 @@ def outer_flip(r):
     return HeisRep(r.x, -r.y, -r.z)
 
 
+def _reduced(r):
+    """(x, y, z, w): x and y scaled by one power of two to a largest
+    entry in [1/2, 1), z scaled alike, and w the part of z off the line
+    of x and y.  Conjugation moves z along that line only (x and y are
+    parallel), so every conjugate of r has the w of r.  Scaling x, y and
+    z each on its own keeps the products from overflowing or
+    underflowing; a z or w past the float range is inf."""
+    k = np.frexp(max(np.abs(r.x).max(), np.abs(r.y).max()))[1]
+    x, y = np.ldexp(r.x, -k), np.ldexp(r.y, -k)
+    d = y if y @ y >= x @ x else x
+    j = np.frexp(np.abs(r.z).max())[1]
+    z = w = np.ldexp(r.z, -j)
+    if d.any():
+        w = z - (z @ d) / (d @ d) * d
+    with np.errstate(over="ignore"):
+        return x, y, np.ldexp(z, j - k), np.ldexp(w, j - k)
+
+
 def normalize(r):
     """Scale to unit ||x||^2 + ||y||^2 = 1 and conjugate the z-part
     perpendicular to the (parallel) x and y directions."""
-    s2 = r.x @ r.x + r.y @ r.y
+    x, y, _, w = _reduced(r)
+    s2 = x @ x + y @ y
     if s2 == 0:
         raise CentralRep("central representation has no normalization")
     s = 1.0 / np.sqrt(s2)
-    x, y, z = s * r.x, s * r.y, s * r.z
-    if y @ y >= x @ x:
-        g = -(z @ y) / (y @ y)
-        z = z + g * y
-    else:
-        h = (z @ x) / (x @ x)
-        z = z - h * x
-    return HeisRep(x, y, z)
+    return HeisRep(s * x, s * y, s * w)
 
 
 def classify(r):
     """Sort a representation into its conjugation-invariant class.
 
     Central: x = y = 0.  NotFaithful: the 2x3 coordinate matrix has rank
-    below 2.  FaithfulNotFree: faithful but y = 0.  Otherwise Holonomy,
-    split into Translation (x = 0) and Shear.  Each test is relative to
-    the scale of r, so c r has the class of r."""
+    below 2, that is, z lies on the line of x and y.  FaithfulNotFree:
+    faithful but y = 0.  Otherwise Holonomy, split into Translation
+    (x = 0) and Shear.  The zero tests of x and y are relative to the
+    largest of x, y and w, the part of z off their line, which
+    conjugation leaves fixed.  w is zero when it is at most 1e-10 times
+    the largest of x, y and z: conjugation by (g, h) rounds z by a few
+    eps (|g y| + |h x|), so a NotFaithful rep stays NotFaithful unless
+    g y and h x cancel to about 1e-5 of their size, and a faithful rep
+    keeps its class while |g y - h x| stays below about 1e10 |w|.  c r
+    has the class of r."""
     if not is_representation(r):
         raise NotARepresentation("generators do not commute")
-    sc = r.scale()
-    if np.abs(r.x).max() <= 1e-12 * sc and np.abs(r.y).max() <= 1e-12 * sc:
+    x, y, z, w = (np.abs(v).max() for v in _reduced(r))
+    sc = max(x, y, w)
+    if x <= 1e-12 * sc and y <= 1e-12 * sc:
         return ("Central", None)
-    M = np.array([[r.x[0], r.y[0], r.z[0]],
-                  [r.x[1], r.y[1], r.z[1]]])
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv[1] <= 1e-10 * sv[0]:
+    if w <= 1e-10 * max(x, y, z):
         return ("NotFaithful", None)
-    if np.abs(r.y).max() <= 1e-12 * sc:
+    if y <= 1e-12 * sc:
         return ("FaithfulNotFree", None)
-    if np.abs(r.x).max() <= 1e-12 * sc:
+    if x <= 1e-12 * sc:
         return ("Holonomy", "Translation")
     return ("Holonomy", "Shear")
 

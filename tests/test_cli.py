@@ -509,13 +509,13 @@ def test_run_fuzz(tmp_path):
     check()
 
 
-def _parse(parser, argv):
-    """What a parser makes of argv: its namespace, its InvalidInput
-    message, or the exit code and stdout of a help request."""
+def _parse(parse, argv):
+    """What parse makes of argv: a namespace, an InvalidInput message, or
+    the exit code and stdout of a help request."""
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out):
-            return "namespace", vars(parser.parse_args(argv))
+            return "namespace", vars(parse(argv))
     except cli.InvalidInput as exc:
         return "invalid", str(exc)
     except SystemExit as exc:
@@ -523,9 +523,10 @@ def _parse(parser, argv):
 
 
 def _same_parse(argv):
-    """The parser run builds for argv treats it as the full parser does."""
-    one = cli.build_parser(argv[0] if argv[0] in cli.COMMANDS else None)
-    assert _parse(one, argv) == _parse(cli.build_parser(), argv)
+    """run's parse of argv, by the named subcommand's parser alone, is
+    that of the full parser."""
+    assert _parse(cli.parse_args, argv) == _parse(
+        cli.build_parser().parse_args, argv)
 
 
 def test_one_subparser_parses_as_all_six():
@@ -549,8 +550,8 @@ def test_one_subparser_parses_as_all_six():
 
 
 @pytest.mark.parametrize("argv, code, built", [
-    (["poset", "1", "3"], 0, ["poset"]),
-    (["cells", "x"], 2, ["cells"]),
+    (["poset", "1", "3"], 0, []),
+    (["cells", "x"], 2, []),
     (["-h"], 0, list(cli.COMMANDS)),
     (["--help"], 0, list(cli.COMMANDS)),
 ])
@@ -566,3 +567,16 @@ def test_run_builds_only_the_named_subparser(capsys, monkeypatch, argv, code,
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
     assert run(capsys, *argv)[0] == code
     assert calls == built
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_subparser_is_the_standalone_parser(capsys, monkeypatch, name):
+    # run parses a subcommand with _Parser(prog="geomlim <name>") alone;
+    # that is the subparser add_parser derives inside the full parser
+    monkeypatch.setenv("COLUMNS", "80")
+    (sub,) = [action.choices[name] for action in cli.build_parser()._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    assert type(sub) is cli._Parser
+    assert sub.prog == "geomlim " + name
+    code, out, _ = run(capsys, name, "--help")
+    assert code == 0 and out == sub.format_help()

@@ -107,6 +107,26 @@ def test_classify():
         heis.classify(HeisRep([1, 0], [0, 1], [0, 0]))
 
 
+CLASSES = {"Central": ("Central", None), "NotFaithful": ("NotFaithful", None),
+           "FaithfulNotFree": ("FaithfulNotFree", None),
+           "Translation": ("Holonomy", "Translation"),
+           "Shear": ("Holonomy", "Shear")}
+
+
+def class_rep(klass, theta, rho, a, b, e, f, c=1.0):
+    """A rep of the named class, scaled by c: x and y along d (x || y, so
+    they commute), z off d unless NotFaithful."""
+    d = rho * np.array([np.cos(theta), np.sin(theta)])
+    perp = np.array([-d[1], d[0]])
+    zero = np.zeros(2)
+    x, y, z = {"Central": (zero, zero, e * d + f * perp),
+               "NotFaithful": (a * d, b * d, e * d),
+               "FaithfulNotFree": (a * d, zero, e * d + f * perp),
+               "Translation": (zero, b * d, e * d + f * perp),
+               "Shear": (a * d, b * d, e * d + f * perp)}[klass]
+    return HeisRep(c * x, c * y, c * z)
+
+
 def test_classify_invariance():
     for _ in range(50):
         r = make_rep("shear")
@@ -116,6 +136,38 @@ def test_classify_invariance():
         s = float(rng.uniform(0.1, 5.0))
         scaled = HeisRep(s * r.x, s * r.y, s * r.z)
         assert heis.classify(scaled) == c
+    # Conjugation moves z along the line of x and y only, and classify
+    # reads the part w of z off that line; a faithful rep keeps its class
+    # while |g y - h x| stays below about 1e10 |w|.  Here |w| >= 0.1 rho
+    # and |x|, |y| <= 3 rho, so conjugators up to 1e8 are inside that
+    # range; a NotFaithful rep has w = 0 and keeps its class at any
+    # conjugator, up to the rounding of z (these draw no a = b, whose
+    # g y and h x cancel at g = h).  A generator of its own leaves the
+    # draws of the tests below as they were.
+    gen = np.random.default_rng(12)
+    near = [(1e6, 0), (1e8, 0), (0, 1e8), (-1e8, 1e8), (1e8, -1e8),
+            (-1e8, -1e8)]
+    far = [(1e12, 0), (0, 1e12), (-1e12, 1e12), (1e12, -1e12),
+           (-1e12, -1e12)]
+    for klass in CLASSES:
+        for _ in range(20):
+            a, b, f = gen.uniform(0.1, 3.0, 3) * gen.choice([-1, 1], 3)
+            r = class_rep(klass, gen.uniform(0, 2 * np.pi),
+                          gen.uniform(0.1, 10.0), a, b,
+                          gen.uniform(-3.0, 3.0), f)
+            assert heis.classify(r) == CLASSES[klass]
+            for g, h in near + (far if klass == "NotFaithful" else []):
+                assert heis.classify(heis.conjugate_rep(r, g, h)) \
+                    == CLASSES[klass]
+    # |w| = 2 against |y| = 2: Translation up to 1e9; |w| = 1 against
+    # |x| = |y| = 1e-3: Shear up to 1e12
+    for r, c, t in [(HeisRep([0, 0], [1, 2], [3, 1]),
+                     ("Holonomy", "Translation"), 1e9),
+                    (HeisRep([1e-3, 0], [1e-3, 0], [0, 1]),
+                     ("Holonomy", "Shear"), 1e12)]:
+        assert heis.classify(r) == c
+        for g, h in [(1, 0), (0, 1), (-1, 1), (1, -1), (-1, -1)]:
+            assert heis.classify(heis.conjugate_rep(r, g * t, h * t)) == c
 
 
 def test_developing_translation_example():
@@ -191,6 +243,17 @@ def test_teichmuller_idempotent_and_flip():
         assert np.allclose((c.x, c.y, c.z), (c3.x, c3.y, c3.z), atol=1e-12)
 
 
+@pytest.mark.parametrize("c", [2.0 ** -700, 1e-200, 1e200, 2.0 ** 1000])
+def test_teichmuller_coords_at_every_magnitude(c):
+    # normalize scales by powers of two before its products, so neither
+    # ||x||^2 nor z.y overflows or underflows near the ends of the float
+    # range
+    r = HeisRep([1, 2], [-0.5, -1], [3, 1])
+    u = heis.teichmuller_coords(r)
+    v = heis.teichmuller_coords(HeisRep(c * r.x, c * r.y, c * r.z))
+    assert np.allclose((v.x, v.y, v.z), (u.x, u.y, u.z), rtol=0, atol=1e-15)
+
+
 def test_bracket_near_overflow():
     # the products overflow near 1e300; the bracket is scaled as in
     # is_representation, so it neither warns nor loses parallel vectors
@@ -207,10 +270,6 @@ def test_bracket_near_overflow():
 scales = st.floats(min_value=-8.0, max_value=8.0).map(lambda e: 10.0 ** e)
 nonzero = st.tuples(st.floats(min_value=0.1, max_value=3.0),
                     st.sampled_from([1.0, -1.0])).map(lambda p: p[0] * p[1])
-CLASSES = {"Central": ("Central", None), "NotFaithful": ("NotFaithful", None),
-           "FaithfulNotFree": ("FaithfulNotFree", None),
-           "Translation": ("Holonomy", "Translation"),
-           "Shear": ("Holonomy", "Shear")}
 
 
 @given(klass=st.sampled_from(sorted(CLASSES)),
@@ -220,18 +279,12 @@ CLASSES = {"Central": ("Central", None), "NotFaithful": ("NotFaithful", None),
 @example(klass="Shear", theta=0.0, rho=1.0, a=1.0, b=1.0, e=0.0, f=1.0,
          c=1e-12)
 def test_classes_ignore_scale(klass, theta, rho, a, b, e, f, c):
-    # x and y along d (x || y, so they commute), z off d unless NotFaithful
+    r = class_rep(klass, theta, rho, a, b, e, f, c)
     d = rho * np.array([np.cos(theta), np.sin(theta)])
     perp = np.array([-d[1], d[0]])
     zero = np.zeros(2)
-    x, y, z = {"Central": (zero, zero, e * d + f * perp),
-               "NotFaithful": (a * d, b * d, e * d),
-               "FaithfulNotFree": (a * d, zero, e * d + f * perp),
-               "Translation": (zero, b * d, e * d + f * perp),
-               "Shear": (a * d, b * d, e * d + f * perp)}[klass]
-    r = HeisRep(c * x, c * y, c * z)
     assert heis.is_representation(r)
     assert heis.classify(r) == CLASSES[klass]
     assert heis.classify(HeisRep(zero, zero, zero)) == ("Central", None)
     # x across y: the bracket is a b rho^2 c^2, far from zero at every scale
-    assert not heis.is_representation(HeisRep(c * a * d, c * b * perp, z))
+    assert not heis.is_representation(HeisRep(c * a * d, c * b * perp, r.z))
