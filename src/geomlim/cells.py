@@ -3,7 +3,18 @@
 Cells are indexed by ordered set partitions of the coordinates together
 with a sign class: one sign per coordinate, modulo one global flip per
 block, stored as a tuple indexed by coordinate whose first index of
-every block is +."""
+every block is +.  The closure is the real toric variety of the
+permutohedron: the ordered partitions into k blocks are its faces of
+dimension n - k, each carrying 2^(n-k) cells, so the counts by dimension
+have a closed form.
+
+A Cell takes every block modulo a sign flip, the first block included,
+so the order of the cells and their faces is the projective degeneration
+order.  FlagSignature keeps its first pair oriented, and limit_poset's
+edges are the oriented ones.  The signatures of the cells that are
+limits of (p, q) are exactly limit_poset(p, q)'s nodes, but the faces
+add a few edges: the split (+,+,-)(+) -> (-)(+,+)(+) takes (2,1),(1,0)
+to (1,0),(2,0),(1,0), which no oriented split of (2,1) reaches."""
 
 import itertools
 from math import comb
@@ -64,27 +75,16 @@ class Cell:
         return flag_signature(self)
 
 
-def simplex_cell_counts(n):
-    """Counts of the open simplices of the projectivized coordinate
-    arrangement: 2^k * C(n, k+1) cells of dimension k, k = 0..n-1."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return [2 ** k * comb(n, k + 1) for k in range(n)]
-
-
 def closure_cell_counts(n):
-    """Cell counts of the closure, by dimension, via the fiber recursion:
-    each k-simplex of the base carries a copy of the (n-k-1)-closure."""
+    """Cell counts of the closure by dimension d = 0..n-1, in closed
+    form: a cell of dimension d is an ordered partition into k = n - d
+    blocks (a surjection onto k, counted by inclusion-exclusion) with one
+    of 2^d sign classes (a sign for each index but a block's first)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    table = [[1], [1]]
-    for m in range(2, n + 1):
-        c = [0] * m
-        for k, simp in enumerate(simplex_cell_counts(m)):
-            for j, f in enumerate(table[m - k - 1]):
-                c[k + j] += simp * f
-        table.append(c)
-    return table[n]
+    return [2 ** (n - k) * sum((-1) ** j * comb(k, j) * (k - j) ** n
+                               for j in range(k + 1))
+            for k in range(n, 0, -1)]
 
 
 def _split_block(block):
@@ -119,7 +119,8 @@ def enumerate_cells(n):
 
 def degeneration_relation(a, b):
     """True when b degenerates from a: b's blocks split a's blocks into
-    consecutive runs (order respecting) and b's sign class restricts a's."""
+    consecutive runs (order respecting) and b's sign class restricts a's,
+    that is b is the cell of b's blocks with a's signs."""
     if a.n != b.n:
         raise ValueError("cells of different n")
     pos = 0
@@ -133,21 +134,7 @@ def degeneration_relation(a, b):
             pos += 1
     if pos != len(b.blocks):
         return False
-    # sign compatibility: b's canonical signs equal a's restricted signs,
-    # re-canonicalized per b-block
-    for blk in b.blocks:
-        flip = a.signs[blk[0]] < 0
-        for i in blk:
-            s = -a.signs[i] if flip else a.signs[i]
-            if s != b.signs[i]:
-                return False
-    return True
-
-
-def euler_characteristic(n):
-    """Alternating sum of the closure cell counts."""
-    counts = closure_cell_counts(n)
-    return sum((-1) ** d * c for d, c in enumerate(counts))
+    return Cell(b.blocks, a.signs) == b
 
 
 def faces(cell):

@@ -17,7 +17,7 @@ Membership tests take a residual as zero when it is finite and at most
 its formula fixes in the largest entries |.|: |A|^2 |Q| for each grid of
 dagger(A) Q A - Q, but |X|^2 |Q| and |X| |A| |Q| over the dual numbers
 (A = X + lambda Y; lambda -> c lambda is an automorphism there), and |A|
-for entries of A.  A rank is cut at 1e-9 of the largest singular value.
+for entries of A.
 """
 
 import math
@@ -384,19 +384,3 @@ def pairing_coordinate_change_inverse(phi, v):
     v = np.array(v, dtype=float)
     v[:-1] *= -1.0
     return 0.5 * (phi + v), 0.5 * (phi - v)
-
-
-def submersion_rank_check(A, Q):
-    """Rank test of X -> dagger(X) Q X at A: its exact differential
-    E -> dagger(E) Q A + dagger(A) Q E (the map is quadratic) must map the
-    2n^2 real coordinate directions onto a spanning set of the
-    n^2-dimensional space of Hermitian matrices over the algebra."""
-    n = A.n
-    QA, AQ = Q @ A, dagger(A) @ Q
-    cols = []
-    for re, im in np.eye(2 * n * n).reshape(-1, 2, n, n):
-        E = AlgMatrix._wrap(re, im, A.delta)
-        D = dagger(E) @ QA + AQ @ E
-        cols.append(np.concatenate([D.re.ravel(), D.im.ravel()]))
-    J = np.column_stack(cols)
-    return np.linalg.matrix_rank(J, tol=_TOL * np.linalg.norm(J, 2)) == n * n

@@ -7,7 +7,10 @@ sphere / Euclidean plane to the working model.  A side pairing of an
 origin-centered parallelogram is the half-turn about the origin after
 the half-turn about the midpoint of its side, one formula in all three
 models; the pairings are traced as the conjugator diverges, and their
-limits, translations of the affine plane, are given in closed form."""
+limits, translations of the affine plane, are given in closed form.
+model_distance gives a model's distance between two affine points; the
+sampled checks of the midpoint and area-distortion lemmas, built on it,
+are in tests/lemmas.py."""
 
 import math
 
@@ -222,79 +225,3 @@ def regenerate_trace(kind, D_path, Q, t_grid):
     B_inf[:2, 2] = V[0] - V[1]
     return {"samples": samples, "A_inf": A_inf, "B_inf": B_inf,
             "limit_in_heis": True}
-
-
-def midpoint_bound_check(kind, D, segment, eps):
-    """Compare the Euclidean midpoint against the model midpoint: the
-    distance ratio along a segment inside B(0, eps) is pinched by the
-    explicit constant of the geometry."""
-    p, q = (np.asarray(v, dtype=float) for v in segment)
-    if np.linalg.norm(p) > eps or np.linalg.norm(q) > eps:
-        raise OutsideDomain("segment leaves the Euclidean eps-ball")
-    m = ModelParam(kind, D)
-    mid = 0.5 * (p + q)
-    ratio = model_distance(m, p, mid) / model_distance(m, mid, q)
-    if m.kind == "hyperbolic":
-        K = 1.0 / math.sqrt(1.0 - 4.0 * eps * eps)
-    elif m.kind == "sphere":
-        K = 1.0 / (1.0 + eps * eps)
-    else:
-        K = 1.0
-    lo, hi = min(K, 1.0 / K), max(K, 1.0 / K)
-    return ratio, K, bool(lo <= ratio <= hi)
-
-
-def axis_translation(kind, tau):
-    """Isometry translating by tau along the first coordinate axis."""
-    if kind == "hyperbolic":
-        c, s = math.cosh(tau), math.sinh(tau)
-        return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [s, 0.0, c]])
-    if kind == "sphere":
-        c, s = math.cos(tau), math.sin(tau)
-        return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-    raise ValueError("translation bound applies to the curved models")
-
-
-def _apply_projective(M, p):
-    v = M @ np.array([p[0], p[1], 1.0])
-    return v[:2] / v[2]
-
-
-def _triangle_area(P):
-    (x1, y1), (x2, y2), (x3, y3) = P
-    return 0.5 * abs((x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1))
-
-
-def area_distortion_check(kind, tau, eps, triangles):
-    """Euclidean area distortion of the axis translation on small
-    triangles: each ratio must lie in the cubed-denominator sandwich."""
-    C = axis_translation(kind, tau)
-    if kind == "hyperbolic":
-        c, s = math.cosh(tau), math.sinh(tau)
-    else:
-        c, s = math.cos(tau), math.sin(tau)
-    lo = 1.0 / (c + eps * s) ** 3
-    hi = 1.0 / (c - eps * s) ** 3
-    results = []
-    ok = True
-    for tri in triangles:
-        tri = np.asarray(tri, dtype=float)
-        img = np.array([_apply_projective(C, p) for p in tri])
-        ratio = _triangle_area(img) / _triangle_area(tri)
-        good = lo - 1e-12 <= ratio <= hi + 1e-12
-        ok = ok and good
-        results.append({"triangle": tri, "ratio": ratio, "pass": good})
-    return {"pass": bool(ok), "low": lo, "high": hi, "results": results}
-
-
-def sample_triangles(eps, count, rng):
-    """Non-degenerate random triangles inside B(0, eps)."""
-    out = []
-    while len(out) < count:
-        tri = rng.uniform(-eps, eps, size=(3, 2))
-        if np.max(np.linalg.norm(tri, axis=1)) >= eps:
-            continue
-        if _triangle_area(tri) < 1e-4 * eps * eps:
-            continue
-        out.append(tri)
-    return out

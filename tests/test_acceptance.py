@@ -18,6 +18,8 @@ from geomlim.limits import FlagSignature, LieSubspace, MonomialDiagonal
 from geomlim.matrices import AlgMatrix
 from geomlim.regeneration import Parallelogram
 
+import lemmas
+
 rng = np.random.default_rng(987654321)
 
 
@@ -67,9 +69,9 @@ def test_03_cell_counts():
     ok = ok and cells.closure_cell_counts(3) == [6, 12, 4]
     ok = ok and cells.closure_cell_counts(4)[-1] == 8
     for n in range(2, 8):
-        ok = ok and cells.simplex_cell_counts(n) \
+        ok = ok and lemmas.simplex_cell_counts(n) \
             == [2 ** k * comb(n, k + 1) for k in range(n)]
-    ok = ok and cells.euler_characteristic(3) == -2
+    ok = ok and lemmas.euler_characteristic(3) == -2
     ok = ok and (time.perf_counter() - t0) < 1.0
     verdict(3, ok, "cell counts, simplex counts, euler characteristic")
 
@@ -239,13 +241,13 @@ def test_12_bounds():
     for kind in ("hyperbolic", "sphere"):
         for _ in range(100):
             seg = rng.uniform(-0.2, 0.2, size=(2, 2))
-            _, _, good = regen.midpoint_bound_check(
+            _, _, good = lemmas.midpoint_bound_check(
                 kind, (2.0, 1.5, 1.0), seg, 0.3)
             ok = ok and good
         for tau in (0.01, 0.1):
             for eps in (0.1, 0.2):
-                tris = regen.sample_triangles(eps, 50, rng)
-                out = regen.area_distortion_check(kind, tau, eps, tris)
+                tris = lemmas.sample_triangles(eps, 50, rng)
+                out = lemmas.area_distortion_check(kind, tau, eps, tris)
                 ok = ok and out["pass"]
     ok = ok and (time.perf_counter() - t0) < 10.0
     verdict(12, ok, "midpoint and area distortion bounds hold")

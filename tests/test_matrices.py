@@ -11,6 +11,8 @@ from geomlim import matrices as mat
 from geomlim.algebra import AlgScalar
 from geomlim.matrices import AlgMatrix
 
+import lemmas
+
 DELTAS = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
 
 rng = np.random.default_rng(20240817)
@@ -350,9 +352,9 @@ def test_stabilizer_and_unitary_checks():
 def test_submersion_rank():
     Q = mat.standard_form(2, -1.0)
     A = AlgMatrix.identity(3, -1.0)
-    assert mat.submersion_rank_check(A, Q)
+    assert lemmas.submersion_rank_check(A, Q)
     Z = AlgMatrix(np.zeros((3, 3)), None, -1.0)
-    assert not mat.submersion_rank_check(Z, Q)
+    assert not lemmas.submersion_rank_check(Z, Q)
 
 
 # c = 10^e for e in [-8, 8]
@@ -444,10 +446,10 @@ def test_submersion_rank_check_ignores_scale(delta, c, re, im):
     Q = mat.standard_form(2, delta)
     A = AlgMatrix(np.eye(3) + np.reshape(re, (3, 3)), np.reshape(im, (3, 3)),
                   delta)
-    assert mat.submersion_rank_check(c * A, Q)
+    assert lemmas.submersion_rank_check(c * A, Q)
     # for v in the kernel of a singular A, v^H D v = 0 for every image D
     A.re[:, 2] = A.im[:, 2] = 0.0
-    assert not mat.submersion_rank_check(c * A, Q)
+    assert not lemmas.submersion_rank_check(c * A, Q)
 
 
 @given(c=scales, e=st.lists(small, min_size=4, max_size=4))

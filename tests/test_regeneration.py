@@ -8,6 +8,8 @@ from geomlim import regeneration as regen
 from geomlim.limits import MonomialDiagonal
 from geomlim.regeneration import ModelParam, Parallelogram
 
+import lemmas
+
 rng = np.random.default_rng(3321)
 
 
@@ -224,7 +226,7 @@ def test_heisenberg_criterion():
 
 def test_axis_translation_preserves_form():
     for kind, sigma in (("hyperbolic", -1.0), ("sphere", 1.0)):
-        A = regen.axis_translation(kind, 0.4)
+        A = lemmas.axis_translation(kind, 0.4)
         F = np.diag([1.0, 1.0, sigma])
         assert np.abs(A.T @ F @ A - F).max() <= 1e-12
 
@@ -353,21 +355,21 @@ def test_midpoint_bound():
     for kind in ("hyperbolic", "sphere"):
         for _ in range(25):
             seg = rng.uniform(-0.2, 0.2, size=(2, 2))
-            ratio, K, ok = regen.midpoint_bound_check(
+            ratio, K, ok = lemmas.midpoint_bound_check(
                 kind, (2.0, 1.5, 1.0), seg, 0.3)
             assert ok
             lo, hi = min(K, 1 / K), max(K, 1 / K)
             assert lo <= ratio <= hi
     with pytest.raises(regen.OutsideDomain):
-        regen.midpoint_bound_check("sphere", (1.0, 1.0, 1.0),
-                                   ([0.5, 0.5], [0, 0]), 0.3)
+        lemmas.midpoint_bound_check("sphere", (1.0, 1.0, 1.0),
+                                    ([0.5, 0.5], [0, 0]), 0.3)
 
 
 def test_area_distortion():
-    tris = regen.sample_triangles(0.1, 30, rng)
-    assert all(regen._triangle_area(t) > 0 for t in tris)
+    tris = lemmas.sample_triangles(0.1, 30, rng)
+    assert all(lemmas._triangle_area(t) > 0 for t in tris)
     for kind in ("hyperbolic", "sphere"):
-        out = regen.area_distortion_check(kind, 0.1, 0.1, tris)
+        out = lemmas.area_distortion_check(kind, 0.1, 0.1, tris)
         assert out["pass"]
         assert out["low"] <= out["high"]
 
