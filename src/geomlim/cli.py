@@ -4,7 +4,9 @@ Subcommands: limit, poset, cells, heis, regen, algebra.  Exit codes:
 0 success, 2 invalid input (JSON error on stderr), 64 unknown subcommand.
 The library raises a ValueError for input outside its domain; ``run`` is
 the one place that turns it into exit 2, and the one place that writes
-command output.
+command output.  Handlers return library values as they are, and ``run``
+renders them as JSON with one array hook, ``_tolist``; the text formats
+come from the one DOT writer, ``_dot``, and the one CSV writer, ``_csv``.
 
 numpy, ``fractions`` and the library modules are imported by the
 functions that use them, so ``poset``, ``cells`` and ``algebra`` run
@@ -15,6 +17,7 @@ builds the top-level parser with all six subparsers.
 
 import argparse
 import io
+import itertools
 import json
 import re
 import sys
@@ -97,15 +100,31 @@ def _read_json(build, text=None, path=None):
         raise InvalidInput("bad input: {}".format(exc)) from None
 
 
-def _signature_json(F):
-    return [list(p) for p in F.pairs]
+def _tolist(value):
+    """json.dumps hook: a numpy array (or scalar) as nested lists."""
+    return value.tolist()
 
 
-def _partition_json(P):
-    return {
-        "blocks": [list(b) for b in P.blocks],
-        "points": [list(p) for p in P.block_points],
-    }
+def _dot(name, prefix, labels, edges):
+    """A DOT digraph: node <prefix>i carries the i-th label, and each edge
+    is a pair of node indices."""
+    node = "  " + prefix + '{} [label="{}"];\n'
+    edge = "  " + prefix + "{} -> " + prefix + "{};\n"
+    buf = io.StringIO()
+    buf.write("digraph {} {{\n".format(name))
+    buf.writelines(itertools.starmap(node.format, enumerate(labels)))
+    buf.writelines(itertools.starmap(edge.format, edges))
+    buf.write("}\n")
+    return buf.getvalue()
+
+
+def _csv(head, rows):
+    """The CSV of head and rows of Python floats, each written as its repr."""
+    buf = io.StringIO()
+    buf.write(",".join(head) + "\n")
+    for row in rows:
+        buf.write(",".join(map(repr, row)) + "\n")
+    return buf.getvalue()
 
 
 def cmd_limit(args):
@@ -130,11 +149,11 @@ def cmd_limit(args):
     F = limits.flag_signature(P)
     doc = {
         "path": [[c, str(e)] for c, e in path.entries],
-        "limit_point": {"{},{}".format(i, j): list(v)
-                        for (i, j), v in sorted(L.components.items())},
-        "partition": _partition_json(P),
-        "flag_signature": _signature_json(F),
-        "lie_basis": [b.tolist() for b in sub.basis],
+        "limit_point": {"{},{}".format(i, j): v
+                        for (i, j), v in L.components.items()},
+        "partition": {"blocks": P.blocks, "points": P.block_points},
+        "flag_signature": F,
+        "lie_basis": sub.basis,
     }
     if path.n == 3:
         try:
@@ -144,28 +163,16 @@ def cmd_limit(args):
     return doc
 
 
-def _sig_label(F):
-    return "".join("({},{})".format(p, q) for p, q in F.pairs)
-
-
 def cmd_poset(args):
     from . import limits
 
     nodes, edges = limits.limit_poset(args.p, args.q)
     index = {F: i for i, F in enumerate(nodes)}
+    edges = [(index[a], index[b]) for a, b in edges]
     if args.format == "dot":
-        buf = io.StringIO()
-        buf.write("digraph limits {\n")
-        for F in nodes:
-            buf.write('  n{} [label="{}"];\n'.format(index[F], _sig_label(F)))
-        for a, b in edges:
-            buf.write("  n{} -> n{};\n".format(index[a], index[b]))
-        buf.write("}\n")
-        return buf.getvalue()
-    return {
-        "nodes": [_signature_json(F) for F in nodes],
-        "edges": [[index[a], index[b]] for a, b in edges],
-    }
+        labels = ("".join("({},{})".format(p, q) for p, q in F) for F in nodes)
+        return _dot("limits", "n", labels, edges)
+    return {"nodes": nodes, "edges": edges}
 
 
 def cmd_cells(args):
@@ -174,26 +181,17 @@ def cmd_cells(args):
     n = args.n
     all_cells = cells.enumerate_cells(n)
     if args.poset:
-        buf = io.StringIO()
-        buf.write("digraph cells {\n")
-        for i, c in enumerate(all_cells):
-            buf.write('  c{} [label="{} d{}"];\n'.format(
-                i, c.blocks, c.dim))
         index = {c: i for i, c in enumerate(all_cells)}
-        for i, c in enumerate(all_cells):
-            for j in sorted(index[f] for f in cells.faces(c)):
-                buf.write("  c{} -> c{};\n".format(i, j))
-        buf.write("}\n")
-        return buf.getvalue()
+        return _dot(
+            "cells", "c",
+            ("{} d{}".format(c.blocks, c.dim) for c in all_cells),
+            ((i, j) for i, c in enumerate(all_cells)
+             for j in sorted(index[f] for f in cells.faces(c))))
     doc = {"counts": cells.closure_cell_counts(n), "cells": []}
     for c in all_cells:
         F = c.signature()
-        item = {
-            "blocks": [list(b) for b in c.blocks],
-            "signs": list(c.signs),
-            "dim": c.dim,
-            "flag_signature": _signature_json(F),
-        }
+        item = {"blocks": c.blocks, "signs": c.signs, "dim": c.dim,
+                "flag_signature": F}
         if n == 3:
             try:
                 item["class_3d"] = limits.classify_limit_group_3d(F)
@@ -215,7 +213,7 @@ def cmd_heis(args):
         out = {"class": tag, "subtype": sub}
         if tag == "Holonomy":
             c = heisenberg.teichmuller_coords(r)
-            out["canonical"] = {"x": list(c.x), "y": list(c.y), "z": list(c.z)}
+            out["canonical"] = {"x": c.x, "y": c.y, "z": c.z}
         return out
     # developing-map sampling
     grid = parse_grid(args.grid or "0:1:9")
@@ -235,12 +233,8 @@ def cmd_heis(args):
                 'stroke-width="0.5%"/></svg>\n').format(view, poly)
     us, vs = np.repeat(grid, len(grid)), np.tile(grid, len(grid))
     fxs, fys = heisenberg.developing_map(r, us, vs)
-    buf = io.StringIO()
-    buf.write("u,v,fx,fy\n")
-    for u, v, fx, fy in zip(us.tolist(), vs.tolist(), fxs.tolist(),
-                            fys.tolist()):
-        buf.write("{},{},{},{}\n".format(u, v, fx, fy))
-    return buf.getvalue()
+    return _csv(["u", "v", "fx", "fy"],
+                zip(us.tolist(), vs.tolist(), fxs.tolist(), fys.tolist()))
 
 
 def _regen_job(doc):
@@ -252,15 +246,14 @@ def _regen_job(doc):
     if not (isinstance(kind, str) and isinstance(D_path, str)):
         raise TypeError("kind and D_path must be strings")
     if t_grid is not None and not all(
-            isinstance(t, (int, float)) for t in t_grid):
+            isinstance(t, (int, float)) and not isinstance(t, bool)
+            for t in t_grid):
         raise TypeError("t_grid must be a list of numbers")
     return (kind, parse_monomial_path(D_path),
             regeneration.Parallelogram(doc["vertices"]), t_grid)
 
 
 def cmd_regen(args):
-    import numpy as np
-
     from . import regeneration
 
     kind, D_path, Q, t_grid = _read_json(_regen_job, path=args.input)
@@ -270,28 +263,14 @@ def cmd_regen(args):
         t_grid = parse_grid(args.grid, log=True)
     trace = regeneration.regenerate_trace(kind, D_path, Q, t_grid)
     if args.format == "json":
-        return {
-            "A_inf": trace["A_inf"].tolist(),
-            "B_inf": trace["B_inf"].tolist(),
-            "limit_in_heis": trace["limit_in_heis"],
-            "samples": [
-                {k: (v.tolist() if isinstance(v, np.ndarray)
-                     else [m.tolist() for m in v] if k == "midpoints" else v)
-                 for k, v in s.items()}
-                for s in trace["samples"]],
-        }
-    buf = io.StringIO()
+        return trace
     head = ["t"] + ["A{}{}".format(i, j) for i in range(3) for j in range(3)] \
         + ["B{}{}".format(i, j) for i in range(3) for j in range(3)] \
         + ["commutator_residual", "form_residual"]
-    buf.write(",".join(head) + "\n")
-    for s in trace["samples"]:
-        if "error" in s:
-            continue
-        row = [s["t"]] + list(s["A"].ravel()) + list(s["B"].ravel()) \
-            + [s["commutator_residual"], s["form_residual"]]
-        buf.write(",".join(repr(float(x)) for x in row) + "\n")
-    return buf.getvalue()
+    return _csv(head, (
+        map(float, [s["t"], *s["A"].ravel(), *s["B"].ravel(),
+                    s["commutator_residual"], s["form_residual"]])
+        for s in trace["samples"] if "error" not in s))
 
 
 def _scalar(doc):
@@ -415,7 +394,7 @@ def run(argv):
         result = COMMANDS[args.cmd](args)
         if not isinstance(result, str):
             result = json.dumps(result, sort_keys=True, indent=2,
-                                allow_nan=False) + "\n"
+                                allow_nan=False, default=_tolist) + "\n"
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(result)

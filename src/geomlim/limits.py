@@ -170,7 +170,7 @@ class OrderedPartition:
             top = max(p, key=abs)  # the first of largest magnitude
             self.block_points.append(tuple(x / top for x in p))
         cover = sorted(i for b in self.blocks for i in b)
-        if cover != list(range(len(cover))) or len(cover) != self.n:
+        if cover != list(range(len(cover))):
             raise ValueError("blocks must partition the index set")
 
     @property

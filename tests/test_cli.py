@@ -123,6 +123,8 @@ INVALID_ARGVS = [
     # the constant form diag(1e-300, 1, 1e300): its limit is O(3), whose
     # block point has no float representation
     ["limit", "--path", "0." + "0" * 299 + "1,1,1" + "0" * 300],
+    # a JSON boolean is not a number, though Python's bool is an int
+    ["regen", "--input", dict(JOB, t_grid=[True, 10])],
 ]
 
 
@@ -136,6 +138,19 @@ def test_invalid_input_exits_2(capsys, tmp_path, argv):
     assert code == 2
     assert "error" in json.loads(err)
     assert out == "" and err.count("\n") == 1
+
+
+def test_result_holding_nan_array_exits_2(capsys, monkeypatch):
+    # run renders arrays through its JSON hook, and a NaN in one is still
+    # a number JSON cannot hold
+    import numpy as np
+
+    monkeypatch.setitem(cli.COMMANDS, "cells",
+                        lambda args: {"x": np.array([1.0, np.nan])})
+    code, out, err = run(capsys, "cells", "3")
+    assert code == 2
+    assert out == "" and err.count("\n") == 1
+    assert "error" in json.loads(err)
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["cells", "--help"]])
@@ -228,6 +243,62 @@ def test_regen_command(capsys, tmp_path):
     assert doc["limit_in_heis"] is True
 
 
+def _plain(value):
+    """value as json.loads gives it back: arrays and tuples as lists."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value.tolist() if hasattr(value, "tolist") else value
+
+
+# One job of each kind; the hyperbolic one starts at t = 0.1, where the
+# vertices lie outside the model's disk, so its first sample is an error.
+REGEN_JOBS = [dict(JOB, t_grid=[0.1, 10, 100, 1000]),
+              dict(JOB, kind="sphere", t_grid=[10, 100.0, 1000]),
+              dict(JOB, kind="euclidean", t_grid=[2, 20.5])]
+
+
+def _trace(job):
+    from geomlim import regeneration
+
+    return regeneration.regenerate_trace(
+        job["kind"], cli.parse_monomial_path(job["D_path"]),
+        regeneration.Parallelogram(job["vertices"]), job["t_grid"])
+
+
+@pytest.mark.parametrize("job", REGEN_JOBS)
+def test_regen_json_is_the_trace(capsys, tmp_path, job):
+    f = tmp_path / "job.json"
+    f.write_text(json.dumps(job))
+    code, out, _ = run(capsys, "regen", "--input", str(f), "--format", "json")
+    assert code == 0
+    doc, want = json.loads(out), _trace(job)
+    assert doc == _plain(want)
+    assert doc["samples"][0].keys() == ({"t", "error"}
+                                        if job["kind"] == "hyperbolic"
+                                        else {"t", "A", "B", "midpoints",
+                                              "commutator_residual",
+                                              "form_residual"})
+
+
+@pytest.mark.parametrize("job", REGEN_JOBS)
+def test_regen_csv_rows_are_the_valid_samples(capsys, tmp_path, job):
+    f = tmp_path / "job.json"
+    f.write_text(json.dumps(job))
+    code, out, _ = run(capsys, "regen", "--input", str(f))
+    assert code == 0
+    head, *lines = out.splitlines()
+    assert head.split(",") == (
+        ["t"] + ["A{}{}".format(i, j) for i in range(3) for j in range(3)]
+        + ["B{}{}".format(i, j) for i in range(3) for j in range(3)]
+        + ["commutator_residual", "form_residual"])
+    want = [[s["t"], *s["A"].ravel().tolist(), *s["B"].ravel().tolist(),
+             s["commutator_residual"], s["form_residual"]]
+            for s in _trace(job)["samples"] if "error" not in s]
+    assert [[float(x) for x in line.split(",")] for line in lines] == want
+
+
 def test_algebra_command(capsys):
     code, out, _ = run(capsys, "algebra", "mul",
                        "--a", '{"re": 1, "im": 2, "delta": -1}',
@@ -277,7 +348,8 @@ def test_combinatorics_output_unchanged(capsys, argv, digest):
 
 
 # SHA-256 of stdout for the help texts and the README examples, recorded
-# before the library modules and numpy were imported lazily.  argparse
+# before the library modules and numpy were imported lazily (the two
+# heis dev digests: before the CSV output moved to a shared writer).  argparse
 # lays out help differently across Python versions (and by COLUMNS);
 # the help digests are those of Python 3.11 at 80 columns.
 README_REP = '{"x":[0,0],"y":[1,0],"z":[0,1]}'
@@ -309,6 +381,10 @@ README_DIGESTS = [
      "6040ed6c235ac86a8b08db0b2b1d199a956f8cf8468b3747d33ffa8c25d77caa"),
     (["algebra", "idempotents", "--delta", "1"], "",
      "8ba8f3534d406d1f3ccadae4982528f9672bebfcb70b27a3d7823c38d7fc5cf8"),
+    (["heis", "dev", "--grid", "0:1:9"], README_REP,
+     "46e2ca38c90ed3a5cfe83e79c10757074e85aaa49856846d99034f7143f5c18e"),
+    (["heis", "dev", "--grid", "0:1:9", "--format", "svg"], README_REP,
+     "16bf7e77b8814198f77cfd970be24fd535719f7b0353e09cd771508fbff2324c"),
 ]
 PY311 = pytest.mark.skipif(sys.version_info[:2] != (3, 11),
                            reason="help digests are of Python 3.11")
