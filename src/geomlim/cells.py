@@ -62,6 +62,8 @@ class Cell:
         return (self.blocks, self.signs)
 
     def __eq__(self, other):
+        if not isinstance(other, Cell):
+            return NotImplemented
         return self.key() == other.key()
 
     def __hash__(self):

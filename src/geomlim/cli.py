@@ -11,8 +11,9 @@ come from the one DOT writer, ``_dot``, and the one CSV writer, ``_csv``.
 numpy, ``fractions`` and the library modules are imported by the
 functions that use them, so ``poset``, ``cells`` and ``algebra`` run
 without loading numpy, and ``algebra`` without ``fractions``.  A named
-subcommand is parsed by its own parser alone; only the top-level help
-builds the top-level parser with all six subparsers.
+subcommand is parsed by its own parser alone, built from ``COMMANDS``;
+the top-level help is a parser with one positional argument that lists
+the subcommands.
 """
 
 import argparse
@@ -131,6 +132,8 @@ def cmd_limit(args):
     from . import limits
 
     if args.path:
+        if args.form or args.conj or args.reverse:
+            raise InvalidInput("--path takes no --form, --conj or --reverse")
         path = parse_monomial_path(args.path)
     elif not args.form:
         raise InvalidInput("need --form (with optional --conj) or --path")
@@ -141,6 +144,8 @@ def cmd_limit(args):
             if args.reverse:
                 C = C.reversed()
             path = limits.conjugacy_to_form_path(C, J)
+        elif args.reverse:
+            raise InvalidInput("--reverse needs --conj")
         else:
             path = limits.MonomialDiagonal.constant(J)
     L = limits.psi_limit(path)
@@ -305,65 +310,38 @@ def cmd_algebra(args):
     return _scalar_json(algebra.inv(x))
 
 
-# The arguments of each subcommand, as add_argument calls in help order;
-# every subcommand takes --out and --format first.
+# The arguments every subcommand takes first, and each subcommand's
+# handler and further arguments, as add_argument calls in help order.
 COMMON_ARGUMENTS = [("--out", {}), ("--format", {})]
-ARGUMENTS = {
-    "limit": [
+COMMANDS = {
+    "limit": (cmd_limit, [
         ("--form", {}), ("--conj", {}), ("--path", {}),
         ("--reverse", {"action": "store_true",
                        "help": "re-parameterize the conjugator by t -> 1/t"}),
-    ],
-    "poset": [("p", {"type": int}), ("q", {"type": int})],
-    "cells": [("n", {"type": int}), ("--poset", {"action": "store_true"})],
-    "heis": [("heis_cmd", {"choices": ["classify", "dev"]}),
-             ("--input", {}), ("--grid", {})],
-    "regen": [("--input", {}), ("--grid", {})],
-    "algebra": [
+    ]),
+    "poset": (cmd_poset, [("p", {"type": int}), ("q", {"type": int})]),
+    "cells": (cmd_cells, [("n", {"type": int}),
+                          ("--poset", {"action": "store_true"})]),
+    "heis": (cmd_heis, [("heis_cmd", {"choices": ["classify", "dev"]}),
+                        ("--input", {}), ("--grid", {})]),
+    "regen": (cmd_regen, [("--input", {}), ("--grid", {})]),
+    "algebra": (cmd_algebra, [
         ("op", {"choices": ["mul", "conj", "norm", "inv", "idempotents"]}),
         ("--a", {}), ("--b", {}), ("--delta", {"type": float}),
-    ],
+    ]),
 }
-
-
-def _add_arguments(parser, name):
-    """Add the arguments of subcommand ``name`` to ``parser``."""
-    for flag, options in COMMON_ARGUMENTS + ARGUMENTS[name]:
-        parser.add_argument(flag, **options)
-    return parser
-
-
-def build_parser():
-    """The full geomlim parser: the top level and all six subparsers."""
-    top = _Parser(prog="geomlim")
-    sub = top.add_subparsers(dest="cmd")
-    for name in ARGUMENTS:
-        _add_arguments(sub.add_parser(name), name)
-    return top
 
 
 def parse_args(argv):
-    """The namespace of a command line whose first word is a subcommand,
-    -h or --help.  A subcommand is parsed by its own parser alone, the one
-    build_parser's add_parser makes: class _Parser and prog "geomlim
-    <name>".  Only the top-level help builds the full parser."""
+    """The namespace of a command line whose first word names a
+    subcommand, parsed by that subcommand's own parser, "geomlim <name>"."""
     name = argv[0]
-    if name not in COMMANDS:
-        return build_parser().parse_args(argv)
-    args = _add_arguments(_Parser(prog="geomlim " + name), name).parse_args(
-        argv[1:])
+    parser = _Parser(prog="geomlim " + name)
+    for flag, options in COMMON_ARGUMENTS + COMMANDS[name][1]:
+        parser.add_argument(flag, **options)
+    args = parser.parse_args(argv[1:])
     args.cmd = name
     return args
-
-
-COMMANDS = {
-    "limit": cmd_limit,
-    "poset": cmd_poset,
-    "cells": cmd_cells,
-    "heis": cmd_heis,
-    "regen": cmd_regen,
-    "algebra": cmd_algebra,
-}
 
 
 def _formats(args):
@@ -385,13 +363,20 @@ def run(argv):
             {"error": "unknown subcommand {!r}".format(argv[0])}) + "\n")
         return 64
     try:
+        if argv[0] in ("-h", "--help"):
+            # argparse acts on a leading -h before it reads anything else
+            top = _Parser(prog="geomlim")
+            top.add_argument("cmd", choices=list(COMMANDS),
+                             nargs=argparse.PARSER)
+            top.print_help()
+            return 0
         args = parse_args(argv)
         formats = _formats(args)
         args.format = args.format or formats[0]
         if args.format not in formats:
             raise InvalidInput("{} emits only {}".format(
                 args.cmd, ", ".join(formats)))
-        result = COMMANDS[args.cmd](args)
+        result = COMMANDS[args.cmd][0](args)
         if not isinstance(result, str):
             result = json.dumps(result, sort_keys=True, indent=2,
                                 allow_nan=False, default=_tolist) + "\n"

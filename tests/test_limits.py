@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from geomlim import limits as lim
+from geomlim.cells import Cell
 from geomlim.limits import (FlagSignature, LieSubspace, LimitPoint,
                             MonomialDiagonal, OrderedPartition)
 
@@ -247,10 +248,11 @@ def test_psi_limit_attaches_the_decoded_partition(n, data):
 def test_equality_with_other_types_is_false():
     L = lim.psi_limit(MonomialDiagonal([(1, 1), (2, 0)]))
     P = lim.decode_partition(L)
-    for x in (L, P):
-        assert x not in [None]
+    C = Cell([(0,), (1,)], [1, 1])
+    for x in (L, P, C):
+        assert x not in [None] and x in [None, x]
         assert x != 3 and not x == 3
-    assert L != P and P != L
+    assert L != P and P != L and C != L and P != C
 
 
 @pytest.mark.parametrize("u, v", [(math.inf, 1.0), (1.0, -math.inf),
