@@ -8,7 +8,11 @@ carries its partition.  A point built from components (encode_partition,
 user code) is decoded instead: a coordinate's block is set by how many
 coordinates it dominates.  The limit Lie algebra is rebuilt line by line
 from the point, one element per coordinate pair; elements on distinct
-pairs are orthogonal, so the subspace needs no orthogonalization.
+pairs are orthogonal, so eta normalizes them into its orthonormal basis
+without LieSubspace's pairwise orthogonality test, which the public
+constructor still runs on a basis it is given.  Likewise psi_limit's
+partition and the flag signatures are built without the checks of the
+public constructors, which their construction already satisfies.
 
 The combinatorial half (paths, limit points, partitions, signatures, the
 poset) is plain Python; numpy is imported by the numeric functions that
@@ -153,6 +157,13 @@ class LimitPoint:
         return "LimitPoint({}, {})".format(self.n, self.components)
 
 
+def _scaled(p):
+    """A block point, a list of nonzero floats, divided by its first
+    entry of largest magnitude."""
+    top = max(p, key=abs)
+    return tuple(x / top for x in p)
+
+
 class OrderedPartition:
     """Ordered blocks of {0..n-1}, dominant first, each carrying a
     projective point with all entries nonzero (canonical scaling: the
@@ -167,11 +178,19 @@ class OrderedPartition:
                 raise ValueError("point size does not match block size")
             if any(x == 0 for x in p):
                 raise ValueError("block point entries must be nonzero")
-            top = max(p, key=abs)  # the first of largest magnitude
-            self.block_points.append(tuple(x / top for x in p))
+            self.block_points.append(_scaled(p))
         cover = sorted(i for b in self.blocks for i in b)
         if cover != list(range(len(cover))):
             raise ValueError("blocks must partition the index set")
+
+    @classmethod
+    def _wrap(cls, blocks, block_points):
+        """The partition of blocks, a list of ascending tuples that
+        partition 0..n-1, and their points, tuples of nonzero floats
+        already scaled by _scaled; neither is copied or checked."""
+        P = cls.__new__(cls)
+        P.blocks, P.block_points = blocks, block_points
+        return P
 
     @property
     def n(self):
@@ -187,6 +206,17 @@ class OrderedPartition:
         return "OrderedPartition({}, {})".format(self.blocks, self.block_points)
 
 
+def _count(x):
+    """x as an int; a value that is not an integer is a ValueError."""
+    try:
+        k = int(x)
+    except (OverflowError, ValueError):  # inf, nan
+        k = None
+    if k is None or k != x:
+        raise ValueError("signature entry {!r} is not an integer".format(x))
+    return k
+
+
 class FlagSignature(tuple):
     """Per-block sign counts, a tuple of (p, q) pairs: the first pair is
     kept ordered, later pairs are normalized to p >= q."""
@@ -194,11 +224,18 @@ class FlagSignature(tuple):
     __slots__ = ()
 
     def __new__(cls, pairs):
-        pairs = [tuple(int(x) for x in p) for p in pairs]
+        pairs = [tuple(_count(x) for x in p) for p in pairs]
         if any(p < 0 or q < 0 for p, q in pairs):
             raise ValueError("negative signature entry")
         return super().__new__(cls, pairs[:1] + [
             (max(p, q), min(p, q)) for p, q in pairs[1:]])
+
+    @classmethod
+    def _wrap(cls, pairs):
+        """The signature of pairs already normalized: (p, q) tuples of
+        non-negative ints, every pair after the first with p >= q; not
+        copied or checked."""
+        return tuple.__new__(cls, pairs)
 
     @property
     def pairs(self):
@@ -224,13 +261,20 @@ class LieSubspace:
     """A subspace of n x n matrices spanned by pairwise orthogonal basis
     elements (under the Frobenius product), such as elements supported
     on distinct coordinate pairs.  ``onb`` holds the nonzero elements,
-    flattened and normalized, as columns; a basis that is not pairwise
-    orthogonal is a ValueError."""
+    flattened and normalized, as columns.  The basis must be a nonempty
+    list of finite square matrices of one size; a basis that is not
+    pairwise orthogonal is a ValueError."""
 
     def __init__(self, basis):
         import numpy as np
 
         self.basis = np.array(basis, dtype=float)
+        if self.basis.ndim != 3 or not len(self.basis) \
+                or self.basis.shape[1] != self.basis.shape[2]:
+            raise ValueError(
+                "need a nonempty basis of square matrices of one size")
+        if not np.isfinite(self.basis).all():
+            raise ValueError("basis entries must be finite")
         self.n = self.basis.shape[1]
         V = self.basis.reshape(len(self.basis), -1)
         gram = V @ V.T
@@ -240,6 +284,20 @@ class LieSubspace:
             raise ValueError("basis elements are not pairwise orthogonal")
         keep = norms > 0
         self.onb = (V[keep] / norms[keep, None]).T
+
+    @classmethod
+    def _orthogonal(cls, basis):
+        """The subspace of basis, a float array of pairwise orthogonal
+        nonzero n x n elements, kept as given and not checked.  The norms
+        are read off the same Gram matrix as the public constructor's, so
+        ``onb`` has the same bytes."""
+        import numpy as np
+
+        S = cls.__new__(cls)
+        S.basis, S.n = basis, basis.shape[1]
+        V = basis.reshape(len(basis), -1)
+        S.onb = (V / np.sqrt((V @ V.T).diagonal())[:, None]).T
+        return S
 
     @property
     def dim(self):
@@ -270,12 +328,17 @@ class LieSubspace:
 
 def so_basis(J):
     """Basis of the Lie algebra preserving the diagonal form J:
-    one element J_j e_ij - J_i e_ji per pair i < j."""
+    one element J_j e_ij - J_i e_ji per pair i < j.  J needs at least
+    two entries, each finite and nonzero."""
     import numpy as np
 
     J = np.asarray(J, dtype=float)
     if np.any(J == 0):
         raise ZeroEigenvalue("form has a zero diagonal entry")
+    if not np.isfinite(J).all():
+        raise ValueError("form entries must be finite")
+    if J.ndim != 1 or len(J) < 2:
+        raise ValueError("need at least two diagonal entries")
     n = len(J)
     basis = []
     for i, j in itertools.combinations(range(n), 2):
@@ -337,30 +400,36 @@ def psi_limit(P):
     blocks = [[] for _ in rank_of]
     for i, r in enumerate(rank):
         blocks[r].append(i)
-    points = [[1.0] + [y / x for x, y in (comp[(b[0], i)] for i in b[1:])]
-              for b in blocks]
-    return LimitPoint._wrap(n, comp, OrderedPartition(blocks, points))
+    # Built in order, the blocks are ascending and partition 0..n-1, and
+    # the refusal above keeps every point entry nonzero.
+    points = [_scaled([1.0] + [y / x for x, y in (
+        comp[(b[0], i)] for i in b[1:])]) for b in blocks]
+    return LimitPoint._wrap(n, comp, OrderedPartition._wrap(
+        [tuple(b) for b in blocks], points))
 
 
 def eta(L):
     """Rebuild the limit Lie subalgebra from a limit point: pair (i,j)
     with ratio [x:y] contributes the line through y e_ij - x e_ji, in the
     limit point's i < j order.  The elements sit on distinct coordinate
-    pairs, so they are orthogonal and span a subspace of dimension
-    n(n-1)/2.  Raises Undecodable when the point does not decode."""
+    pairs and none is zero, so they are orthogonal and span a subspace of
+    dimension n(n-1)/2 without LieSubspace's pairwise test.  Raises
+    Undecodable when the point does not decode."""
     try:
         decode_partition(L)
     except Inconsistent as exc:
         raise Undecodable(str(exc)) from None
     import numpy as np
 
-    pairs, points = zip(*L.components.items())
-    (i, j), (x, y) = np.array(pairs).T, np.array(points).T
-    k = np.arange(len(pairs))
-    basis = np.zeros((len(pairs), L.n, L.n))
-    basis[k, i, j] = y
-    basis[k, j, i] = -x
-    return LieSubspace(basis)
+    comp, flat = L.components, itertools.chain.from_iterable
+    m = len(comp)
+    ij = np.fromiter(flat(comp), np.intp, 2 * m)  # i0, j0, i1, j1, ...
+    xy = np.fromiter(flat(comp.values()), float, 2 * m)
+    i, j, k = ij[0::2], ij[1::2], np.arange(m)
+    basis = np.zeros((m, L.n, L.n))
+    basis[k, i, j] = xy[1::2]
+    basis[k, j, i] = -xy[0::2]
+    return LieSubspace._orthogonal(basis)
 
 
 def decode_partition(L):
@@ -440,9 +509,13 @@ def encode_partition(P):
 
 
 def flag_signature(P):
-    """Sign counts (positives, negatives) of each block's canonical point."""
-    return FlagSignature((sum(v > 0 for v in pt), sum(v < 0 for v in pt))
-                         for pt in P.block_points)
+    """Sign counts (positives, negatives) of each block's canonical point,
+    every pair after the first ordered as FlagSignature orders it."""
+    pairs = []
+    for pt in P.block_points:
+        p, q = sum(v > 0 for v in pt), sum(v < 0 for v in pt)
+        pairs.append((p, q) if p >= q or not pairs else (q, p))
+    return FlagSignature._wrap(pairs)
 
 
 # The n = 3 limit groups by flag signature.
@@ -500,8 +573,11 @@ def _split_pair(pair):
 def _split_signatures(F):
     """All signatures obtained by splitting one block of F into two
     consecutive nonempty sub-blocks (swaps permitted on non-initial
-    pieces via the FlagSignature normalization)."""
-    return [FlagSignature(pairs)
+    pieces: every pair after the first is ordered p >= q, as
+    FlagSignature orders it)."""
+    wrap = FlagSignature._wrap
+    return [wrap((pairs[0], *[(p, q) if p >= q else (q, p)
+                              for p, q in pairs[1:]]))
             for pairs in _split_one_block(F, _split_pair)]
 
 

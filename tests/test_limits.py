@@ -536,3 +536,107 @@ def test_lie_subspace_needs_an_orthogonal_basis():
         LieSubspace([e(0, 1), e(0, 1) + e(1, 2)])
     # zero elements are left out of onb; orthogonal ones are kept
     assert LieSubspace([e(0, 1), np.zeros((3, 3)), 2 * e(1, 2)]).dim == 2
+
+
+@pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, -math.inf, "3"])
+def test_flag_signature_refuses_non_integer_entries(bad):
+    with pytest.raises(ValueError, match="not an integer"):
+        FlagSignature([(1, bad)])
+    with pytest.raises(ValueError, match="not an integer"):
+        FlagSignature([(1, 0), (bad, 1)])
+
+
+def test_flag_signature_takes_integer_values():
+    F = FlagSignature([(np.int64(1), 2.0), (np.int32(0), True)])
+    assert F == ((1, 2), (1, 0))
+    assert all(type(x) is int for pair in F for x in pair)
+
+
+@pytest.mark.parametrize("J", [[], [1.0], [-2.0], [1.0, math.nan],
+                               [math.inf, 1.0, 2.0], [[1.0, 2.0]], 3.0])
+def test_so_basis_needs_two_finite_nonzero_entries(J):
+    with pytest.raises(ValueError):
+        lim.so_basis(J)
+
+
+@pytest.mark.parametrize("basis", [
+    [], np.zeros((0, 3, 3)), [np.full((2, 2), np.nan)],
+    [e(0, 1), np.full((3, 3), np.inf)], [np.zeros((2, 3))], [[1.0, 0.0]],
+    [e(0, 1), np.zeros((2, 2))]])
+def test_lie_subspace_needs_finite_square_matrices_of_one_size(basis):
+    with pytest.raises(ValueError):
+        LieSubspace(basis)
+
+
+# Form paths n = 2..8 with few exponents, so blocks tie, and coefficients
+# of either sign from 1e-8 to 1e8 in magnitude.
+_coefficients = st.builds(
+    lambda s, c: s * c, st.sampled_from([-1.0, 1.0]),
+    st.floats(min_value=1e-8, max_value=1e8))
+_tied_paths = st.lists(
+    st.tuples(_coefficients, st.builds(
+        Fraction, st.integers(-2, 2), st.sampled_from([1, 2]))),
+    min_size=2, max_size=8).map(MonomialDiagonal)
+
+
+def _hex(points):
+    return [[x.hex() for x in p] for p in points]
+
+
+@settings(deadline=None, max_examples=300, derandomize=True, database=None)
+@given(_tied_paths)
+def test_limit_chain_private_constructors_match_the_public_ones(path):
+    L = lim.psi_limit(path)
+    # the partition psi_limit attaches, against the checked constructor
+    # on its blocks of equal exponent and its unscaled points
+    exps = sorted({e for _, e in path.entries}, reverse=True)
+    blocks = [[i for i, (_, e) in enumerate(path.entries) if e == x]
+              for x in exps]
+    points = [[1.0] + [y / x for x, y in (L.components[(b[0], i)]
+                                          for i in b[1:])] for b in blocks]
+    want = OrderedPartition(blocks, points)
+    P = L._partition
+    assert type(P) is OrderedPartition
+    assert P.blocks == want.blocks
+    assert _hex(P.block_points) == _hex(want.block_points)
+    assert all(type(p) is tuple for p in P.block_points)
+
+    F = lim.flag_signature(P)
+    assert type(F) is FlagSignature
+    assert F == FlagSignature([(sum(v > 0 for v in p), sum(v < 0 for v in p))
+                               for p in P.block_points])
+
+    # onb's norms taken other than off the Gram diagonal differ in the
+    # last bit on about 1% of such points
+    sub = lim.eta(L)
+    ref = LieSubspace(sub.basis)
+    assert sub.n == ref.n == path.n
+    for a, b in ((sub.basis, ref.basis), (sub.onb, ref.onb)):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cell_signatures_match_the_public_constructor(n):
+    from geomlim.cells import enumerate_cells
+    for cell in enumerate_cells(n):
+        F = cell.signature()
+        assert type(F) is FlagSignature
+        assert F == FlagSignature(
+            [(b.count(1), b.count(-1)) for b in cell.block_points])
+
+
+def test_split_signatures_match_the_public_constructor():
+    for n in range(1, 7):
+        for p in range(1, n + 1):
+            for F in lim.limit_poset(p, n - p)[0]:
+                want = [FlagSignature([*F[:i], (a, b), (s - a, t - b),
+                                       *F[i + 1:]])
+                        for i, (s, t) in enumerate(F)
+                        for a in range(s + 1) for b in range(t + 1)
+                        if 0 < a + b < s + t]
+                got = lim._split_signatures(F)
+                assert got == want
+                assert all(type(G) is FlagSignature
+                           and all(type(pair) is tuple for pair in G)
+                           for G in got)
