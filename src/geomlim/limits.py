@@ -23,6 +23,7 @@ run without it.
 
 import itertools
 import math
+import numbers
 import types
 from fractions import Fraction
 
@@ -118,7 +119,8 @@ def rp1(u, v):
 
 
 class LimitPoint:
-    """One projective line per coordinate pair (i < j), zero-indexed.
+    """One projective line per coordinate pair (i < j) of n >= 2
+    coordinates, zero-indexed.
 
     ``components`` is a read-only mapping, so the point never changes and
     its partition is found once: psi_limit attaches it, or
@@ -126,6 +128,8 @@ class LimitPoint:
     returns that same object."""
 
     def __init__(self, n, components):
+        if not (isinstance(n, numbers.Integral) and n >= 2):
+            raise ValueError("n must be an integer >= 2, got {!r}".format(n))
         self.n = n
         comp = {}
         for i, j in itertools.combinations(range(n), 2):
@@ -178,6 +182,8 @@ class OrderedPartition:
                 raise ValueError("point size does not match block size")
             if any(x == 0 for x in p):
                 raise ValueError("block point entries must be nonzero")
+            if not all(map(math.isfinite, p)):
+                raise ValueError("block point entries must be finite")
             self.block_points.append(_scaled(p))
         cover = sorted(i for b in self.blocks for i in b)
         if cover != list(range(len(cover))):

@@ -3,9 +3,9 @@
 An AlgMatrix keeps the two real coefficient grids (of 1 and of lambda)
 as numpy arrays, so the involution-transpose, determinant, exponential,
 the real 2n x 2n representation, and the unitary-group predicates are all
-plain real linear algebra underneath.  The exponential keeps the two grids
-stacked in one (2, n, n) array, so a product over the algebra is one
-stacked matrix product, combined in the operation order of AlgMatrix's @.
+plain real linear algebra underneath.  The exponential works on the real
+representation, where a product over the algebra is one real 2n x 2n
+matrix product, and sums its Taylor polynomial by Paterson-Stockmeyer.
 The Lie algebra of the (n,1) unitary group has the closed form
 X = QS + lambda*QT with S skew and T symmetric, so its coefficient grids
 do not depend on delta and are built once per size.  Grids the library
@@ -147,7 +147,8 @@ def det(A):
     Computed through the structure of the algebra: complex determinant for
     delta < 0, the two idempotent-component determinants for delta > 0, and
     for the dual numbers det(X + eY) = det X + e * sum_i det(X with column i
-    replaced by the corresponding column of Y)."""
+    replaced by the corresponding column of Y).  Those n + 1 determinants
+    are one stacked LAPACK call; the sum runs left to right."""
     d = A.delta
     if d < 0:
         r = math.sqrt(-d)
@@ -158,12 +159,14 @@ def det(A):
         dp = np.linalg.det(A.re + r * A.im)
         dm = np.linalg.det(A.re - r * A.im)
         return AlgScalar(0.5 * (dp + dm), 0.5 * (dp - dm) / r, d)
-    base = np.linalg.det(A.re)
+    n = A.n
+    M = np.repeat(A.re[None], n + 1, axis=0)  # M[0] = X
+    i = np.arange(n)
+    M[i + 1, :, i] = A.im.T  # column i of M[i + 1] is column i of Y
+    base, *dets = np.linalg.det(M).tolist()
     deriv = 0.0
-    for i in range(A.n):
-        M = A.re.copy()
-        M[:, i] = A.im[:, i]
-        deriv += np.linalg.det(M)
+    for x in dets:  # not np.sum (pairwise) nor sum (compensated on 3.12+)
+        deriv += x
     return AlgScalar(base, deriv, 0.0)
 
 
@@ -177,38 +180,45 @@ def inverse(A):
     return iota_delta_inverse(Rinv, A.delta)
 
 
-def exp_delta(X):
-    """Matrix exponential by scaling-and-squaring with the algebra product.
+# Paterson-Stockmeyer with s = 5 for the degree-20 Taylor polynomial:
+# row q holds 1/(5q + r)! for r = 0..4, the weights of chunk q.
+_PS_CHUNKS = np.array([[1.0 / math.factorial(5 * q + r) for r in range(5)]
+                       for q in range(4)])
+_PS_TOP = 1.0 / math.factorial(20)
 
-    Halves X until its real-representation Frobenius norm is at most 1/2,
-    runs 20 series terms, then squares back up.  The two coefficient grids
-    are stacked as one (2, n, n) array t = (re, im): one stacked product
-    t[:, None] @ (y, y swapped) gives the four grid products, and
-    P[0] + (delta, 1) * P[1] combines them in the operation order of
-    AlgMatrix's @, * and +, so the result is bit-identical to that
-    series."""
-    nrm = np.linalg.norm(iota_delta(X))
+
+def exp_delta(X):
+    """Matrix exponential by scaling-and-squaring on the real
+    representation R = iota_delta(X), where one product over the algebra
+    is one real 2n x 2n matrix product.
+
+    Halves R until its Frobenius norm is at most 1/2, sums the degree-20
+    Taylor polynomial of the halved Y by Paterson-Stockmeyer: with
+    B_q = sum_r Y^r / (5q + r)! for r = 0..4, the polynomial is
+    B_0 + Y^5 (B_1 + Y^5 (B_2 + Y^5 (B_3 + Y^5 / 20!))), eight products in
+    all.  Then squares back up and reads the two grids out of the result
+    (fresh copies, so they share no storage)."""
+    R = iota_delta(X)
+    nrm = np.linalg.norm(R)
     k = 0
     while nrm > 0.5:
         nrm /= 2.0
         k += 1
-    d = X.delta
-    w = np.array([d, 1.0])[:, None, None]
-    swap = [[0, 1], [1, 0]]  # y[swap] is ((re, im), (im, re))
-
-    def times(t, ys):
-        # P[0] = (t_re @ y_re, t_re @ y_im), P[1] = (t_im @ y_im, t_im @ y_re)
-        P = t[:, None] @ ys
-        return P[0] + w * P[1]
-
-    ys = (0.5 ** k * np.stack([X.re, X.im]))[swap]
-    t = a = np.stack([np.eye(X.n), np.zeros((X.n, X.n))])
-    for m in range(1, 21):
-        t = (1.0 / m) * times(t, ys)
-        a = a + t
+    m = len(R)
+    P = np.empty((5, m, m))  # Y^0 .. Y^4
+    P[0] = np.eye(m)
+    np.multiply(R, 0.5 ** k, out=P[1])
+    np.matmul(P[1], P[1], out=P[2])
+    np.matmul(P[2], P[1], out=P[3])
+    np.matmul(P[2], P[2], out=P[4])
+    Y5 = P[4] @ P[1]
+    B = (_PS_CHUNKS @ P.reshape(5, -1)).reshape(4, m, m)
+    E = Y5 @ (B[3] + _PS_TOP * Y5) + B[2]
+    E = Y5 @ E + B[1]
+    E = Y5 @ E + B[0]
     for _ in range(k):
-        a = times(a, a[swap])
-    return AlgMatrix._wrap(a[0], a[1], d)
+        E = E @ E
+    return iota_delta_inverse(E, X.delta)
 
 
 def iota_delta(A):

@@ -2,6 +2,7 @@ import copy
 import itertools
 import math
 import pickle
+import re
 import warnings
 from fractions import Fraction
 
@@ -264,6 +265,24 @@ def test_rp1_refuses_non_finite_coordinates(u, v):
     comp = {(0, 1): (u, v), (0, 2): (1.0, 0.0), (1, 2): (1.0, 0.0)}
     with pytest.raises(ValueError, match="not a projective point"):
         LimitPoint(3, comp)
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_ordered_partition_refuses_non_finite_points(x):
+    with pytest.raises(ValueError, match="must be finite"):
+        OrderedPartition([[0, 1]], [[1.0, x]])
+
+
+@pytest.mark.parametrize("n", [1, -2, 0, True, 2.0, "3", None])
+def test_limit_point_refuses_n_below_two_or_not_integer(n):
+    with pytest.raises(ValueError, match="n must be an integer >= 2, got "
+                       + re.escape(repr(n))):
+        LimitPoint(n, {})
+
+
+def test_limit_point_takes_numpy_integer_n():
+    comp = {(0, 1): (1.0, 0.0), (0, 2): (1.0, 0.0), (1, 2): (1.0, 0.0)}
+    assert LimitPoint(np.int64(3), comp) == LimitPoint(3, comp)
 
 
 def test_so_basis_preserves_form():

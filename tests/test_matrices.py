@@ -51,6 +51,21 @@ def test_det_against_cofactor_oracle(delta):
             assert abs(d1.im - d2.im) <= 1e-9 * scale
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_det_dual_part_is_the_column_sum(n):
+    """For delta = 0 the dual part is the sum, left to right, of det X with
+    column i replaced by column i of Y; the bytes match that sum."""
+    A = random_matrix(n, 0.0)
+    want = 0.0
+    for i in range(n):
+        M = A.re.copy()
+        M[:, i] = A.im[:, i]
+        want += np.linalg.det(M)
+    got = mat.det(A)
+    assert np.float64(got.im).tobytes() == np.float64(want).tobytes()
+    assert np.float64(got.re).tobytes() == np.linalg.det(A.re).tobytes()
+
+
 @pytest.mark.parametrize("delta", DELTAS)
 def test_det_multiplicative(delta):
     A = random_matrix(3, delta)
@@ -205,35 +220,21 @@ def test_u_lie_basis_spans_null_space(n):
     assert np.abs(V.T @ V - W.T @ W).max() <= 1e-12
 
 
-def operator_exp(X):
-    """Reference exponential: the same scaling, series and squaring,
-    written with AlgMatrix's operators."""
-    nrm = np.linalg.norm(mat.iota_delta(X))
-    k = 0
-    while nrm > 0.5:
-        nrm /= 2.0
-        k += 1
-    Y = X * (0.5 ** k)
-    term = AlgMatrix.identity(X.n, X.delta)
-    acc = AlgMatrix.identity(X.n, X.delta)
-    for m in range(1, 21):
-        term = term @ Y
-        term = term * (1.0 / m)
-        acc = acc + term
-    for _ in range(k):
-        acc = acc @ acc
-    return acc
-
-
 @pytest.mark.parametrize("n", range(1, 9))
 @pytest.mark.parametrize("delta", [-2.0, -1.0, 0.0, 1.0, 3.0])
-def test_exp_delta_matches_operator_series(n, delta):
-    for scale in (0.1, 1.0, 4.0):
+def test_exp_delta_matches_mpmath(n, delta):
+    """exp_delta against a 40-digit expm of the real representation, to
+    1e-14 of e^|R|_F, the bound on |expm(R)| a rounding error scales with."""
+    mp = pytest.importorskip("mpmath")
+    for scale in (0.1, 1.0, 4.0, 10.0):
         X = random_matrix(n, delta, scale)
-        got, want = mat.exp_delta(X), operator_exp(X)
-        assert got.delta == want.delta
-        assert np.array_equal(got.re, want.re)
-        assert np.array_equal(got.im, want.im)
+        R = mat.iota_delta(X)
+        with mp.workdps(40):
+            want = np.array(mp.expm(mp.matrix(R.tolist())).tolist(), float)
+        got = mat.exp_delta(X)
+        assert got.delta == delta
+        err = np.abs(mat.iota_delta(got) - want).max()
+        assert err <= 1e-14 * np.exp(np.linalg.norm(R))
 
 
 @pytest.mark.parametrize("n", [1, 3])
