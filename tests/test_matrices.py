@@ -220,6 +220,41 @@ def test_u_lie_basis_spans_null_space(n):
     assert np.abs(V.T @ V - W.T @ W).max() <= 1e-12
 
 
+def operator_exp(X):
+    """Reference exponential: the same scaling, series and squaring,
+    written with AlgMatrix's operators."""
+    nrm = np.linalg.norm(mat.iota_delta(X))
+    k = 0
+    while nrm > 0.5:
+        nrm /= 2.0
+        k += 1
+    Y = X * (0.5 ** k)
+    term = AlgMatrix.identity(X.n, X.delta)
+    acc = AlgMatrix.identity(X.n, X.delta)
+    for m in range(1, 21):
+        term = term @ Y
+        term = term * (1.0 / m)
+        acc = acc + term
+    for _ in range(k):
+        acc = acc @ acc
+    return acc
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("delta", [-2.0, -1.0, 0.0, 1.0, 3.0])
+def test_exp_delta_matches_operator_series(n, delta):
+    """exp_delta against the same Taylor series summed term by term with
+    AlgMatrix's operators.  The two sum in a different order, so they agree
+    to rounding: 1e-14 of e^|R|_F, the bound of the mpmath test below."""
+    for scale in (0.1, 1.0, 4.0):
+        X = random_matrix(n, delta, scale)
+        got, want = mat.exp_delta(X), operator_exp(X)
+        assert got.delta == want.delta
+        err = max(np.abs(got.re - want.re).max(),
+                  np.abs(got.im - want.im).max())
+        assert err <= 1e-14 * np.exp(np.linalg.norm(mat.iota_delta(X)))
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 @pytest.mark.parametrize("delta", [-2.0, -1.0, 0.0, 1.0, 3.0])
 def test_exp_delta_matches_mpmath(n, delta):
