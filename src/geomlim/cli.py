@@ -266,6 +266,8 @@ def cmd_regen(args):
         if not args.grid:
             raise InvalidInput("need t_grid in the input or --grid")
         t_grid = parse_grid(args.grid, log=True)
+    elif args.grid is not None:
+        raise InvalidInput("the input has a t_grid, so --grid is not taken")
     trace = regeneration.regenerate_trace(kind, D_path, Q, t_grid)
     if args.format == "json":
         return trace

@@ -3,16 +3,19 @@
 A diagonal form path diag(c_i t^{e_i}) determines, as t -> +infinity, a
 point of a torus of projective lines (one per coordinate pair) and an
 ordered partition of the coordinates by exponent, largest first, with the
-coefficients as block points.  psi_limit builds both and the point
+coefficients as block points.  psi_limit ranks the exponents exactly, as
+integers over their common denominator, and builds the components, the
+blocks and the block points in one pass over the pairs i < j; the point
 carries its partition.  A point built from components (encode_partition,
 user code) is decoded instead: a coordinate's block is set by how many
 coordinates it dominates.  The limit Lie algebra is rebuilt line by line
 from the point, one element per coordinate pair; elements on distinct
-pairs are orthogonal, so eta normalizes them into its orthonormal basis
-without LieSubspace's pairwise orthogonality test, which the public
-constructor still runs on a basis it is given.  Likewise psi_limit's
-partition and the flag signatures are built without the checks of the
-public constructors, which their construction already satisfies.
+pairs are orthogonal, so eta writes each element's two nonzero entries,
+and those of its normalized copy, at flat positions cached per n, without
+LieSubspace's pairwise orthogonality test, which the public constructor
+still runs on a basis it is given.  Likewise psi_limit's partition and
+the flag signatures are built without the checks of the public
+constructors, which their construction already satisfies.
 
 The combinatorial half (paths, limit points, partitions, signatures, the
 poset) is plain Python; numpy is imported by the numeric functions that
@@ -21,6 +24,7 @@ use it (``evaluate``, ``LieSubspace``, ``so_basis``,
 run without it.
 """
 
+import functools
 import itertools
 import math
 import numbers
@@ -163,9 +167,9 @@ class LimitPoint:
 
 def _scaled(p):
     """A block point, a list of nonzero floats, divided by its first
-    entry of largest magnitude."""
+    entry of largest magnitude (x / 1.0 is x, so a top of 1 is kept)."""
     top = max(p, key=abs)
-    return tuple(x / top for x in p)
+    return tuple(p) if top == 1.0 else tuple([x / top for x in p])
 
 
 class OrderedPartition:
@@ -291,20 +295,6 @@ class LieSubspace:
         keep = norms > 0
         self.onb = (V[keep] / norms[keep, None]).T
 
-    @classmethod
-    def _orthogonal(cls, basis):
-        """The subspace of basis, a float array of pairwise orthogonal
-        nonzero n x n elements, kept as given and not checked.  The norms
-        are read off the same Gram matrix as the public constructor's, so
-        ``onb`` has the same bytes."""
-        import numpy as np
-
-        S = cls.__new__(cls)
-        S.basis, S.n = basis, basis.shape[1]
-        V = basis.reshape(len(basis), -1)
-        S.onb = (V / np.sqrt((V @ V.T).diagonal())[:, None]).T
-        return S
-
     @property
     def dim(self):
         return self.onb.shape[1]
@@ -381,37 +371,61 @@ def psi_limit(P):
     would find: the blocks are the classes of equal exponent, largest
     first, and a block's point is 1 at its first index i0, then y / x of
     each component (i0, i) = [x : y]."""
-    n = P.n
-    # A Fraction in lowest terms is equal to another exactly when its
-    # (numerator, denominator) is, and that pair hashes far faster.
-    exps = {(e.numerator, e.denominator): e for _, e in P.entries}
-    rank_of = {k: r for r, k in enumerate(
-        sorted(exps, key=exps.get, reverse=True))}
-    rank = [rank_of[e.numerator, e.denominator] for _, e in P.entries]
-    comp = {}
-    for i, j in itertools.combinations(range(n), 2):
-        if rank[i] < rank[j]:
-            comp[(i, j)] = (1.0, 0.0)
-        elif rank[i] > rank[j]:
-            comp[(i, j)] = (0.0, 1.0)
-        else:
-            ci, cj = P.entries[i][0], P.entries[j][0]
-            a, b = sorted((abs(ci), abs(cj)))
-            if a / b < RP1_TINY:  # the test rp1 makes
-                raise ValueError(
-                    "tied coefficients {!r} and {!r} of entries {} and {} "
-                    "are too far apart to represent their ratio".format(
-                        ci, cj, i, j))
-            comp[(i, j)] = rp1(ci, cj)
+    n, cs = P.n, [c for c, _ in P.entries]
+    # Over their common denominator the exponents are ints, which compare
+    # and hash exactly and far faster than Fractions.
+    ratios = [e.as_integer_ratio() for _, e in P.entries]
+    d = math.lcm(*[q for _, q in ratios])
+    keys = [p * (d // q) for p, q in ratios]
+    rank_of = {k: r for r, k in enumerate(sorted(set(keys), reverse=True))}
+    rank = [rank_of[k] for k in keys]
     blocks = [[] for _ in rank_of]
-    for i, r in enumerate(rank):
-        blocks[r].append(i)
+    points = [None] * len(rank_of)
+    comp = {}
+    for i, ri in enumerate(rank):
+        ci, block, pt = cs[i], blocks[ri], None
+        block.append(i)
+        if len(block) == 1:  # i anchors its block
+            points[ri] = pt = [1.0]
+        for j, rj in enumerate(rank[i + 1:], i + 1):
+            if ri < rj:
+                comp[(i, j)] = (1.0, 0.0)
+            elif ri > rj:
+                comp[(i, j)] = (0.0, 1.0)
+            else:
+                # rp1(ci, cj), written out: both are nonzero and finite,
+                # and past the refusal neither scaled entry is below
+                # RP1_TINY, so the first is the positive |ci| / m
+                cj = cs[j]
+                a, b = abs(ci), abs(cj)
+                m = max(a, b)
+                if min(a, b) / m < RP1_TINY:  # the test rp1 makes
+                    raise ValueError(
+                        "tied coefficients {!r} and {!r} of entries {} and "
+                        "{} are too far apart to represent their "
+                        "ratio".format(ci, cj, i, j))
+                x, y = a / m, (cj if ci > 0 else -cj) / m
+                comp[(i, j)] = (x, y)
+                if pt is not None:
+                    pt.append(y / x)
     # Built in order, the blocks are ascending and partition 0..n-1, and
     # the refusal above keeps every point entry nonzero.
-    points = [_scaled([1.0] + [y / x for x, y in (
-        comp[(b[0], i)] for i in b[1:])]) for b in blocks]
     return LimitPoint._wrap(n, comp, OrderedPartition._wrap(
-        [tuple(b) for b in blocks], points))
+        [tuple(b) for b in blocks], [_scaled(p) for p in points]))
+
+
+@functools.lru_cache(maxsize=32)
+def _eta_positions(n):
+    """The read-only flat positions of (k, i, j) and (k, j, i) in an
+    (n(n-1)/2, n, n) stack, for the k-th pair i < j in order."""
+    import numpy as np
+
+    pos = tuple(np.array(p, np.intp) for p in zip(*[
+        (n * (n * k + i) + j, n * (n * k + j) + i)
+        for k, (i, j) in enumerate(itertools.combinations(range(n), 2))]))
+    for a in pos:
+        a.flags.writeable = False
+    return pos
 
 
 def eta(L):
@@ -419,23 +433,34 @@ def eta(L):
     with ratio [x:y] contributes the line through y e_ij - x e_ji, in the
     limit point's i < j order.  The elements sit on distinct coordinate
     pairs and none is zero, so they are orthogonal and span a subspace of
-    dimension n(n-1)/2 without LieSubspace's pairwise test.  Raises
-    Undecodable when the point does not decode."""
+    dimension n(n-1)/2 without LieSubspace's pairwise test.  Its norms are
+    read off the same Gram matrix as the public constructor's, so ``onb``
+    has the same bytes.  Raises Undecodable when the point does not
+    decode."""
     try:
         decode_partition(L)
     except Inconsistent as exc:
         raise Undecodable(str(exc)) from None
     import numpy as np
 
-    comp, flat = L.components, itertools.chain.from_iterable
+    n, comp = L.n, L.components
     m = len(comp)
-    ij = np.fromiter(flat(comp), np.intp, 2 * m)  # i0, j0, i1, j1, ...
-    xy = np.fromiter(flat(comp.values()), float, 2 * m)
-    i, j, k = ij[0::2], ij[1::2], np.arange(m)
-    basis = np.zeros((m, L.n, L.n))
-    basis[k, i, j] = xy[1::2]
-    basis[k, j, i] = -xy[0::2]
-    return LieSubspace._orthogonal(basis)
+    xy = np.fromiter(itertools.chain.from_iterable(comp.values()), float,
+                     2 * m)
+    x, y = xy[0::2], xy[1::2]
+    ij, ji = _eta_positions(n)
+    basis = np.zeros(m * n * n)
+    basis[ij] = y
+    basis[ji] = -x
+    V = basis.reshape(m, n * n)
+    nrm = np.sqrt((V @ V.T).diagonal())
+    onb = np.zeros(m * n * n)  # V / nrm[:, None], as 0 / nrm is 0
+    onb[ij] = y / nrm
+    onb[ji] = -x / nrm
+    S = LieSubspace.__new__(LieSubspace)
+    S.basis, S.onb = basis.reshape(m, n, n), onb.reshape(m, -1).T
+    S.n = S.basis.shape[1]
+    return S
 
 
 def decode_partition(L):
@@ -519,7 +544,8 @@ def flag_signature(P):
     every pair after the first ordered as FlagSignature orders it."""
     pairs = []
     for pt in P.block_points:
-        p, q = sum(v > 0 for v in pt), sum(v < 0 for v in pt)
+        p = sum(v > 0 for v in pt)
+        q = len(pt) - p
         pairs.append((p, q) if p >= q or not pairs else (q, p))
     return FlagSignature._wrap(pairs)
 

@@ -58,6 +58,8 @@ def _negligible(residual, scale, tol=_TOL):
 class AlgMatrix:
     """Square matrix re + lambda*im with real coefficient grids re, im."""
 
+    __slots__ = ("re", "im", "delta")
+
     def __init__(self, re, im=None, delta=0.0):
         self.re = np.array(re, dtype=float)
         if im is None:
@@ -75,6 +77,9 @@ class AlgMatrix:
         A = cls.__new__(cls)
         A.re, A.im, A.delta = re, im, float(delta)
         return A
+
+    def __reduce__(self):  # pickle protocols 0 and 1 skip __slots__
+        return AlgMatrix, (self.re, self.im, self.delta)
 
     @property
     def n(self):
@@ -323,15 +328,24 @@ def u_lie_basis(n, delta):
     lambda*Q(E_ij + E_ji)/sqrt(2) for i < j and lambda*Q E_ii: (n+1)^2
     elements, orthonormal in the 2(n+1)^2 real coordinates.  delta does
     not enter, so the coefficient grids are identical for every delta and
-    are built once per n.  Each element's grids are slices of fresh
-    copies of those blocks, its zero grid a slice of one fresh zeros
-    block; no two elements, and no two calls, share storage."""
+    are built once per n.  Each call fills two fresh ((n+1)^2, n+1, n+1)
+    stacks, the 1-grids (the S blocks over zeros) and the lambda-grids
+    (zeros over the T blocks), and element k takes the k-th grid of each;
+    no two elements, and no two calls, share storage."""
     m = n + 1
-    S, T = (B.copy() for B in _u_lie_blocks(n))
-    zeros = np.zeros((m * m, m, m))
-    return ([AlgMatrix._wrap(A, Z, delta) for A, Z in zip(S, zeros)]
-            + [AlgMatrix._wrap(Z, B, delta)
-               for Z, B in zip(zeros[len(S):], T)])
+    S, T = _u_lie_blocks(n)
+    re = np.zeros((m * m, m, m))
+    re[:len(S)] = S
+    im = np.zeros((m * m, m, m))
+    im[len(S):] = T
+    # AlgMatrix._wrap written out: its call per element took about a
+    # fifth of this function's time at n = 2..8
+    delta, new, basis = float(delta), AlgMatrix.__new__, []
+    for A, B in zip(re, im):
+        X = new(AlgMatrix)
+        X.re, X.im, X.delta = A, B, delta
+        basis.append(X)
+    return basis
 
 
 def rr_to_unitary(X):
@@ -342,15 +356,6 @@ def rr_to_unitary(X):
         raise Singular("input not invertible")
     Y = np.linalg.inv(X).T
     return AlgMatrix(0.5 * (X + Y), 0.5 * (X - Y), 1.0)
-
-
-def reps_eps_decompose(M, Q):
-    """Split a dual-number matrix M = X + eY and test membership in the
-    unitary group of real Q: X^T Q X = Q and X^T Q Y symmetric, the two
-    grids of is_unitary's test (scales |X|^2 |Q| and |X| |M| |Q|)."""
-    if M.delta != 0:
-        raise DeltaMismatch("expected delta = 0")
-    return M.re, M.im, bool(is_unitary(M, AlgMatrix(Q.re, None, 0.0)))
 
 
 def point_hyperplane_complete(phi, v):

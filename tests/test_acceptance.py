@@ -163,18 +163,18 @@ def test_09_reps_eps_membership():
         Qr = Q.re
         S = rng.standard_normal((n + 1, n + 1))
         S = 0.5 * (S + S.T)
-        _, _, good = mat.reps_eps_decompose(
-            AlgMatrix(np.eye(n + 1), Qr @ S, 0.0), Q)
+        Q0 = AlgMatrix(Qr, None, 0.0)
+        good = mat.is_unitary(AlgMatrix(np.eye(n + 1), Qr @ S, 0.0), Q0)
         J = np.diag([1.0] * n + [-1.0])
         M = rng.standard_normal((n + 1, n + 1)) * 0.4
         M = M - J @ M.T @ J  # J-skew, so expm lands in O(n,1)
         X = scipy.linalg.expm(M)
-        _, _, good2 = mat.reps_eps_decompose(AlgMatrix(X, None, 0.0), Q)
+        good2 = mat.is_unitary(AlgMatrix(X, None, 0.0), Q0)
         K = rng.standard_normal((n + 1, n + 1))
         K = K - K.T
         K = K / np.abs(K).max()  # X^T Q Y picks up an asymmetric 1e-3 part
-        _, _, bad = mat.reps_eps_decompose(
-            AlgMatrix(np.eye(n + 1), Qr @ (S + 1e-3 * K), 0.0), Q)
+        bad = mat.is_unitary(
+            AlgMatrix(np.eye(n + 1), Qr @ (S + 1e-3 * K), 0.0), Q0)
         ok = ok and good and good2 and not bad
     verdict(9, ok, "dual-number membership accepts/rejects both families")
 

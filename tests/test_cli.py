@@ -129,6 +129,8 @@ INVALID_ARGVS = [
     ["limit", "--path", "t^2,t,1", "--conj", "t^2,t,1"],
     ["limit", "--path", "t^2,t,1", "--reverse"],
     ["limit", "--form", "1,1,1", "--reverse"],
+    # regen refuses a --grid the job's own t_grid would override
+    ["regen", "--grid", "1:3:3", "--input", dict(JOB, t_grid=[10, 100])],
 ]
 
 

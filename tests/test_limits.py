@@ -635,6 +635,90 @@ def test_limit_chain_private_constructors_match_the_public_ones(path):
         assert a.tobytes() == b.tobytes()
 
 
+def _psi_reference(P):
+    """The components and partition of psi_limit(P), pair by pair through
+    rp1, exponents compared as Fractions; a tied pair that rp1 maps to a
+    point with a zero coordinate is refused."""
+    comp = {}
+    for i, j in itertools.combinations(range(P.n), 2):
+        (ci, ei), (cj, ej) = P.entries[i], P.entries[j]
+        if ei != ej:
+            comp[(i, j)] = (1.0, 0.0) if ei > ej else (0.0, 1.0)
+            continue
+        comp[(i, j)] = lim.rp1(ci, cj)
+        if 0.0 in comp[(i, j)]:
+            raise ValueError(
+                "tied coefficients {!r} and {!r} of entries {} and {} are "
+                "too far apart to represent their ratio".format(ci, cj, i, j))
+    exps = sorted({e for _, e in P.entries}, reverse=True)
+    blocks = [[i for i, (_, e) in enumerate(P.entries) if e == x]
+              for x in exps]
+    points = [[1.0] + [y / x for x, y in (comp[(b[0], i)] for i in b[1:])]
+              for b in blocks]
+    return comp, OrderedPartition(blocks, points)
+
+
+def _assert_psi_limit_matches_the_reference(path):
+    try:
+        comp, want = _psi_reference(path)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            lim.psi_limit(path)
+        assert str(got.value) == str(exc)
+        return
+    L = lim.psi_limit(path)
+    assert list(L.components) == list(comp)
+    assert _hex(L.components.values()) == _hex(comp.values())
+    P = lim.decode_partition(L)
+    assert P.blocks == want.blocks
+    assert _hex(P.block_points) == _hex(want.block_points)
+
+
+# Magnitudes at and on either side of RP1_TINY, over a power of two, so
+# that the ratio of two tied coefficients falls exactly at, just inside or
+# just past the refusal; and plain magnitudes of either order.
+_TINY = lim.RP1_TINY
+_near_tiny = st.builds(
+    lambda s, k, c: s * math.ldexp(c, k), st.sampled_from([-1.0, 1.0]),
+    st.integers(-3, 3), st.sampled_from([
+        1.0, 1.5, _TINY, math.nextafter(_TINY, 0), math.nextafter(_TINY, 1),
+        2.0 * _TINY, 0.5 * _TINY, 3.0 * _TINY]) | st.floats(0.5, 2.0))
+_tied_tiny_paths = st.lists(
+    st.tuples(_near_tiny, st.sampled_from(
+        [Fraction(0), Fraction(1, 2), Fraction(1)])),
+    min_size=2, max_size=7).map(MonomialDiagonal)
+
+
+@settings(deadline=None, max_examples=400, derandomize=True, database=None)
+@given(_tied_tiny_paths)
+@example(MonomialDiagonal([(1.0, 0), (_TINY, 0)]))  # at RP1_TINY: kept
+@example(MonomialDiagonal([(-1.0, 0), (-math.nextafter(_TINY, 0), 0)]))
+@example(MonomialDiagonal([(2.0, 1), (-1.0, 0), (3.0, 1),
+                           (-math.nextafter(_TINY, 0), 0)]))
+@example(MonomialDiagonal([(-_TINY, 0), (1.0, 0), (0.5 * _TINY, 0)]))
+def test_psi_limit_matches_rp1_pair_by_pair(path):
+    _assert_psi_limit_matches_the_reference(path)
+
+
+@pytest.mark.parametrize("exps", [
+    [Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**30), Fraction(1, 3)],
+    [Fraction(1, 10**40), Fraction(1, 10**40 + 1), Fraction(1, 10**40 - 1),
+     Fraction(1, 10**40 + 1)],
+    [Fraction(10**40 + 1, 10**40 + 3), Fraction(10**40, 10**40 + 2),
+     Fraction(10**40 - 1, 10**40 + 1), Fraction(10**40 + 1, 10**40 + 3),
+     Fraction(10**40, 10**40 + 2)],
+    [-Fraction(7, 10**40 + 9), -Fraction(7, 10**40 + 7),
+     -Fraction(7, 10**40 + 8)],
+])
+def test_psi_limit_ranks_exponents_exactly_where_floats_collide(exps):
+    assert len({float(e) for e in exps}) == 1
+    path = MonomialDiagonal([(1.0 + k, e) for k, e in enumerate(exps)])
+    want = [tuple(i for i, e in enumerate(exps) if e == x)
+            for x in sorted(set(exps), reverse=True)]
+    assert lim.decode_partition(lim.psi_limit(path)).blocks == want
+    _assert_psi_limit_matches_the_reference(path)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_cell_signatures_match_the_public_constructor(n):
     from geomlim.cells import enumerate_cells

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -174,6 +176,23 @@ def test_u_lie_basis_returns_fresh_writable_grids(n):
     assert all(np.array_equal(a, b) for a, b in zip(later, want, strict=True))
 
 
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_alg_matrix_survives_deepcopy_and_pickle(protocol):
+    A = random_matrix(3, -1.0)
+    A.re[0, 0] = -0.0  # a signed zero counts
+    # an element of u_lie_basis holds views into the stacks of its call
+    for X in (A, mat.u_lie_basis(2, 2.0)[4]):
+        assert not hasattr(X, "__dict__")
+        for Y in (copy.deepcopy(X), pickle.loads(pickle.dumps(X, protocol))):
+            assert type(Y) is AlgMatrix
+            assert Y.re.tobytes() == X.re.tobytes()
+            assert Y.im.tobytes() == X.im.tobytes()
+            assert Y.re.shape == X.re.shape and Y.im.shape == X.im.shape
+            assert type(Y.delta) is float and Y.delta == X.delta
+            assert not np.shares_memory(Y.re, X.re)
+            assert not np.shares_memory(Y.im, X.im)
+
+
 def test_u_lie_basis_keeps_no_blocks_above_the_cache_cap():
     n = 12  # its S and T blocks take 8 * 13^4 bytes
     assert 8 * (n + 1) ** 4 > mat.U_LIE_CACHE_BYTES
@@ -322,20 +341,21 @@ def test_reps_eps_membership():
     n = 2
     Q = mat.standard_form(n, 0.0)
     Qr = Q.re
+    Q0 = AlgMatrix(Qr, None, 0.0)  # the real form, of the dual numbers
     for _ in range(50):
         S = rng.standard_normal((n + 1, n + 1))
         S = 0.5 * (S + S.T)
         good = AlgMatrix(np.eye(n + 1), Qr @ S, 0.0)
-        _, _, ok = mat.reps_eps_decompose(good, Q)
+        ok = mat.is_unitary(good, Q0)
         assert ok
         X = random_o_n1(n)
-        _, _, ok = mat.reps_eps_decompose(AlgMatrix(X, None, 0.0), Q)
+        ok = mat.is_unitary(AlgMatrix(X, None, 0.0), Q0)
         assert ok
         K = rng.standard_normal((n + 1, n + 1))
         K = K - K.T
         K = K / np.abs(K).max()
         bad = AlgMatrix(np.eye(n + 1), Qr @ (S + 1e-3 * K), 0.0)
-        _, _, ok = mat.reps_eps_decompose(bad, Q)
+        ok = mat.is_unitary(bad, Q0)
         assert not ok
 
 
@@ -457,19 +477,20 @@ def test_moved_line_is_not_a_stabilizer(c):
 def test_reps_eps_accepts_boosted_members(tau, t):
     # X in O(2, 1) and Y = X Q T with T symmetric: X^T Q Y = T
     Q = mat.standard_form(2, 0.0)
+    Q0 = AlgMatrix(Q.re, None, 0.0)
     X = np.eye(3)
     X[0, 0] = X[2, 2] = np.cosh(tau)
     X[0, 2] = X[2, 0] = np.sinh(tau)
     T = np.zeros((3, 3))
     T[np.triu_indices(3)] = t
     T = T + np.triu(T, 1).T
-    assert mat.reps_eps_decompose(AlgMatrix(X, X @ Q.re @ T, 0.0), Q)[2]
+    assert mat.is_unitary(AlgMatrix(X, X @ Q.re @ T, 0.0), Q0)
     D = np.diag([2.0, 1.0, 1.0])  # D X leaves X^T diag(3, 0, 0) X
     bad = AlgMatrix(D @ X, D @ X @ Q.re @ T, 0.0)
-    assert not mat.reps_eps_decompose(bad, Q)[2]
+    assert not mat.is_unitary(bad, Q0)
     # X^T Q X - Q = 2e-3 Q is roundoff of neither |X|^2 nor of a large Y
     big = AlgMatrix(1.001 * np.eye(3), 1e6 * Q.re @ T, 0.0)
-    assert not mat.reps_eps_decompose(big, Q)[2]
+    assert not mat.is_unitary(big, Q0)
     assert not mat.is_unitary(big, Q)
 
 
