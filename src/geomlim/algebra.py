@@ -52,6 +52,9 @@ class AlgScalar:
             raise ValueError("scalar entries must be finite, got {!r}".format(
                 self))
 
+    def __reduce__(self):  # pickle protocols 0 and 1 skip __slots__
+        return AlgScalar, (self.re, self.im, self.delta)
+
     def __repr__(self):
         return "AlgScalar({}, {}, delta={})".format(self.re, self.im, self.delta)
 

@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Subcommands: limit, poset, cells, heis, regen, algebra.  Exit codes:
-0 success, 2 invalid input (JSON error on stderr), 64 unknown subcommand.
+Subcommands: limit, poset, cells, heis, regen, algebra; heis and algebra
+take an operation as their second word.  Exit codes: 0 success, 2
+invalid input (JSON error on stderr), 64 unknown subcommand.
 The library raises a ValueError for input outside its domain; ``run`` is
 the one place that turns it into exit 2, and the one place that writes
 command output.  Handlers return library values as they are, and ``run``
@@ -10,10 +11,11 @@ come from the one DOT writer, ``_dot``, and the one CSV writer, ``_csv``.
 
 numpy, ``fractions`` and the library modules are imported by the
 functions that use them, so ``poset``, ``cells`` and ``algebra`` run
-without loading numpy, and ``algebra`` without ``fractions``.  A named
-subcommand is parsed by its own parser alone, built from ``COMMANDS``;
-the top-level help is a parser with one positional argument that lists
-the subcommands.
+without loading numpy, and ``algebra`` without ``fractions``.  A
+command line is parsed by the parser of its row of ``COMMANDS`` alone,
+which refuses an option the operation does not read; the help of
+``geomlim``, ``geomlim heis`` and ``geomlim algebra`` is a parser with
+one positional argument that lists the choices.
 """
 
 import argparse
@@ -161,10 +163,7 @@ def cmd_limit(args):
         "lie_basis": sub.basis,
     }
     if path.n == 3:
-        try:
-            doc["class_3d"] = limits.classify_limit_group_3d(F)
-        except limits.UnknownSignature:
-            pass
+        doc["class_3d"] = limits.classify_limit_group_3d(F)
     return doc
 
 
@@ -198,10 +197,7 @@ def cmd_cells(args):
         item = {"blocks": c.blocks, "signs": c.signs, "dim": c.dim,
                 "flag_signature": F}
         if n == 3:
-            try:
-                item["class_3d"] = limits.classify_limit_group_3d(F)
-            except limits.UnknownSignature:
-                pass
+            item["class_3d"] = limits.classify_limit_group_3d(F)
         doc["cells"].append(item)
     return doc
 
@@ -213,7 +209,7 @@ def cmd_heis(args):
 
     r = _read_json(lambda d: heisenberg.HeisRep(d["x"], d["y"], d["z"]),
                    path=args.input)
-    if args.heis_cmd == "classify":
+    if args.op == "classify":
         tag, sub = heisenberg.classify(r)
         out = {"class": tag, "subtype": sub}
         if tag == "Holonomy":
@@ -293,67 +289,76 @@ def _scalar_json(x):
 def cmd_algebra(args):
     from . import algebra
 
-    op = args.op
-    if op == "idempotents":
-        if args.delta is None:
-            raise InvalidInput("idempotents needs --delta")
+    if args.op == "idempotents":
         return [_scalar_json(e) for e in algebra.idempotents(args.delta)]
-    if not args.a:
-        raise InvalidInput("operation {} needs --a".format(op))
     x = _read_json(_scalar, text=args.a)
-    if op == "mul":
-        if not args.b:
-            raise InvalidInput("mul needs --b")
+    if args.op == "mul":
         return _scalar_json(algebra.mul(x, _read_json(_scalar, text=args.b)))
-    if op == "conj":
+    if args.op == "conj":
         return _scalar_json(algebra.conj(x))
-    if op == "norm":
+    if args.op == "norm":
         return algebra.norm(x)
     return _scalar_json(algebra.inv(x))
 
 
-# The arguments every subcommand takes first, and each subcommand's
-# handler and further arguments, as add_argument calls in help order.
+# The arguments every operation takes first.  Each row of COMMANDS is an
+# operation's handler, formats (the first is the default) and further
+# arguments, as add_argument calls in help order; heis and algebra hold a
+# table of rows, keyed by the operation, the second word.
 COMMON_ARGUMENTS = [("--out", {}), ("--format", {})]
 COMMANDS = {
-    "limit": (cmd_limit, [
+    "limit": (cmd_limit, ("json",), [
         ("--form", {}), ("--conj", {}), ("--path", {}),
         ("--reverse", {"action": "store_true",
                        "help": "re-parameterize the conjugator by t -> 1/t"}),
     ]),
-    "poset": (cmd_poset, [("p", {"type": int}), ("q", {"type": int})]),
-    "cells": (cmd_cells, [("n", {"type": int}),
-                          ("--poset", {"action": "store_true"})]),
-    "heis": (cmd_heis, [("heis_cmd", {"choices": ["classify", "dev"]}),
-                        ("--input", {}), ("--grid", {})]),
-    "regen": (cmd_regen, [("--input", {}), ("--grid", {})]),
-    "algebra": (cmd_algebra, [
-        ("op", {"choices": ["mul", "conj", "norm", "inv", "idempotents"]}),
-        ("--a", {}), ("--b", {}), ("--delta", {"type": float}),
-    ]),
+    "poset": (cmd_poset, ("json", "dot"),
+              [("p", {"type": int}), ("q", {"type": int})]),
+    "cells": (cmd_cells, ("json",), [("n", {"type": int}),
+                                     ("--poset", {"action": "store_true"})]),
+    "heis": {
+        "classify": (cmd_heis, ("json",), [("--input", {})]),
+        "dev": (cmd_heis, ("csv", "svg"), [("--input", {}), ("--grid", {})]),
+    },
+    "regen": (cmd_regen, ("csv", "json"), [("--input", {}), ("--grid", {})]),
+    "algebra": {
+        "mul": (cmd_algebra, ("json",), [("--a", {"required": True}),
+                                         ("--b", {"required": True})]),
+        "conj": (cmd_algebra, ("json",), [("--a", {"required": True})]),
+        "norm": (cmd_algebra, ("json",), [("--a", {"required": True})]),
+        "inv": (cmd_algebra, ("json",), [("--a", {"required": True})]),
+        "idempotents": (cmd_algebra, ("json",),
+                        [("--delta", {"type": float, "required": True})]),
+    },
 }
 
 
 def parse_args(argv):
-    """The namespace of a command line whose first word names a
-    subcommand, parsed by that subcommand's own parser, "geomlim <name>"."""
-    name = argv[0]
-    parser = _Parser(prog="geomlim " + name)
-    for flag, options in COMMON_ARGUMENTS + COMMANDS[name][1]:
+    """The handler, formats and namespace of a command line.  Its first
+    word names a row of COMMANDS or, for heis and algebra, a table whose
+    row the second word names; the row's parser, "geomlim <words>", reads
+    the rest into a namespace with cmd the first word and op the last.
+    A missing or unknown word goes to a parser whose one positional
+    argument lists the choices: it prints the help or refuses the line."""
+    row, words = COMMANDS, []
+    while isinstance(row, dict):
+        rest = argv[len(words):]
+        if not rest or rest[0] not in row:
+            menu = _Parser(prog=" ".join(["geomlim", *words]))
+            menu.add_argument("operation", choices=list(row),
+                              nargs=argparse.PARSER)
+            menu.parse_args(rest)
+            # an argparse that drops a leading "--" may accept the rest
+            raise InvalidInput("the operation must come second")
+        words.append(rest[0])
+        row = row[rest[0]]
+    handler, formats, arguments = row
+    parser = _Parser(prog=" ".join(["geomlim", *words]))
+    for flag, options in COMMON_ARGUMENTS + arguments:
         parser.add_argument(flag, **options)
-    args = parser.parse_args(argv[1:])
-    args.cmd = name
-    return args
-
-
-def _formats(args):
-    """The output formats a subcommand emits; the first is the default."""
-    if args.cmd == "heis" and args.heis_cmd == "dev":
-        return ("csv", "svg")
-    if args.cmd == "cells" and args.poset:
-        return ("dot",)
-    return {"poset": ("json", "dot"), "regen": ("csv", "json")}.get(
-        args.cmd, ("json",))
+    args = parser.parse_args(argv[len(words):])
+    args.cmd, args.op = words[0], words[-1]
+    return handler, formats, args
 
 
 def run(argv):
@@ -365,20 +370,14 @@ def run(argv):
             {"error": "unknown subcommand {!r}".format(argv[0])}) + "\n")
         return 64
     try:
-        if argv[0] in ("-h", "--help"):
-            # argparse acts on a leading -h before it reads anything else
-            top = _Parser(prog="geomlim")
-            top.add_argument("cmd", choices=list(COMMANDS),
-                             nargs=argparse.PARSER)
-            top.print_help()
-            return 0
-        args = parse_args(argv)
-        formats = _formats(args)
+        handler, formats, args = parse_args(argv)
+        if args.cmd == "cells" and args.poset:
+            formats = ("dot",)
         args.format = args.format or formats[0]
         if args.format not in formats:
             raise InvalidInput("{} emits only {}".format(
                 args.cmd, ", ".join(formats)))
-        result = COMMANDS[args.cmd][0](args)
+        result = handler(args)
         if not isinstance(result, str):
             result = json.dumps(result, sort_keys=True, indent=2,
                                 allow_nan=False, default=_tolist) + "\n"

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from decimal import Decimal
 
 import pytest
@@ -125,6 +127,16 @@ def test_zero_divisor_is_a_value_error():
     for cls in (ZeroDivisionError, ValueError):
         with pytest.raises(cls):
             alg.inv(scal(0, 0, -1.0))
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_alg_scalar_survives_deepcopy_and_pickle(protocol):
+    x = scal(-0.0, 2.5, -1.0)  # a signed zero counts
+    assert not hasattr(x, "__dict__")
+    for y in (copy.deepcopy(x), pickle.loads(pickle.dumps(x, protocol))):
+        assert type(y) is AlgScalar
+        assert all(type(v) is float for v in (y.re, y.im, y.delta))
+        assert repr(y) == repr(x) == "AlgScalar(-0.0, 2.5, delta=-1.0)"
 
 
 def test_dunder_arithmetic_matches_functions():

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -131,6 +132,24 @@ INVALID_ARGVS = [
     ["limit", "--form", "1,1,1", "--reverse"],
     # regen refuses a --grid the job's own t_grid would override
     ["regen", "--grid", "1:3:3", "--input", dict(JOB, t_grid=[10, 100])],
+    # heis and algebra refuse an option the operation does not read, an
+    # option before the operation, and a missing or unknown operation
+    ["heis", "classify", "--grid", "0:1:5", "--input", REP],
+    ["heis", "--grid", "0:1:3", "dev", "--input", REP],
+    ["heis"],
+    ["heis", "frob"],
+    ["heis", "--", "classify"],
+    ["algebra", "conj", "--a", '{"re":1,"delta":0}',
+     "--b", '{"re":1,"delta":1}'],
+    ["algebra", "mul", "--a", '{"re":1,"delta":1}',
+     "--b", '{"re":1,"delta":1}', "--delta", "1"],
+    ["algebra", "norm", "--a", '{"re":1,"delta":1}', "--delta", "1"],
+    ["algebra", "idempotents", "--delta", "1", "--a", '{"re":1,"delta":1}'],
+    ["algebra", "--delta", "1", "idempotents"],
+    ["algebra"],
+    # and a required option that is missing
+    ["algebra", "inv", "--b", '{"re":1,"delta":1}'],
+    ["algebra", "idempotents"],
 ]
 
 
@@ -151,13 +170,82 @@ def test_result_holding_nan_array_exits_2(capsys, monkeypatch):
     # a number JSON cannot hold
     import numpy as np
 
-    _, arguments = cli.COMMANDS["cells"]
+    _, formats, arguments = cli.COMMANDS["cells"]
     monkeypatch.setitem(cli.COMMANDS, "cells", (
-        lambda args: {"x": np.array([1.0, np.nan])}, arguments))
+        lambda args: {"x": np.array([1.0, np.nan])}, formats, arguments))
     code, out, err = run(capsys, "cells", "3")
     assert code == 2
     assert out == "" and err.count("\n") == 1
     assert "error" in json.loads(err)
+
+
+# Each operation's options besides --out and --format, written out here
+# rather than read from cli.COMMANDS, with a command line that exits 0.
+# A dict stands for a file holding it.
+SCALAR = '{"re": 1, "im": 2, "delta": 1}'
+OPERATIONS = [
+    (["limit", "--form", "1,1,1"], {"--form", "--conj", "--path",
+                                    "--reverse"}),
+    (["poset", "1", "2"], set()),
+    (["cells", "2"], {"--poset"}),
+    (["heis", "classify", "--input", REP], {"--input"}),
+    (["heis", "dev", "--input", REP, "--grid", "0:1:3"],
+     {"--input", "--grid"}),
+    (["regen", "--input", JOB, "--grid", "1:3:3"], {"--input", "--grid"}),
+    (["algebra", "mul", "--a", SCALAR, "--b", SCALAR], {"--a", "--b"}),
+    (["algebra", "conj", "--a", SCALAR], {"--a"}),
+    (["algebra", "norm", "--a", SCALAR], {"--a"}),
+    (["algebra", "inv", "--a", SCALAR], {"--a"}),
+    (["algebra", "idempotents", "--delta", "1"], {"--delta"}),
+]
+# Every option, with a value its operation would take (none for a flag).
+OPTION_VALUES = {"--form": ["1,1,1"], "--conj": ["t^2,t,1"],
+                 "--path": ["t^2,t,1"], "--reverse": [], "--poset": [],
+                 "--input": [REP], "--grid": ["0:1:3"], "--a": [SCALAR],
+                 "--b": [SCALAR], "--delta": ["1"]}
+
+
+def _files(argv, tmp_path):
+    """argv with each dict written to a file and replaced by its path."""
+    out = []
+    for i, word in enumerate(argv):
+        if isinstance(word, dict):
+            path = tmp_path / "input{}.json".format(i)
+            path.write_text(json.dumps(word))
+            word = str(path)
+        out.append(word)
+    return out
+
+
+@pytest.mark.parametrize("argv, options", OPERATIONS,
+                         ids=[" ".join(argv[:2]) for argv, _ in OPERATIONS])
+def test_operation_refuses_options_it_does_not_read(capsys, tmp_path, argv,
+                                                    options):
+    assert set().union(*(o for _, o in OPERATIONS)) == set(OPTION_VALUES)
+    argv = _files(argv, tmp_path)
+    assert run(capsys, *argv)[0] == 0
+    for option in sorted(set(OPTION_VALUES) - options):
+        extra = _files([option, *OPTION_VALUES[option]], tmp_path)
+        code, out, err = run(capsys, *argv, *extra)
+        assert code == 2, option
+        assert out == "" and err.count("\n") == 1
+        assert "error" in json.loads(err)
+
+
+def test_every_n3_signature_has_a_class(capsys):
+    # so cmd_limit and cmd_cells name the class of every n = 3 limit
+    from geomlim import cells, limits
+
+    sigs = {c.signature() for c in cells.enumerate_cells(3)}
+    for signs in itertools.product([1.0, -1.0], repeat=3):
+        for exps in itertools.product(range(3), repeat=3):
+            path = limits.MonomialDiagonal(zip(signs, exps))
+            sigs.add(limits.flag_signature(
+                limits.decode_partition(limits.psi_limit(path))))
+    assert sigs <= limits.CLASS_3D.keys()
+    code, out, _ = run(capsys, "cells", "3")
+    assert code == 0
+    assert all("class_3d" in c for c in json.loads(out)["cells"])
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["cells", "--help"]])
@@ -379,9 +467,11 @@ def test_combinatorics_output_unchanged(capsys, argv, digest):
 
 # SHA-256 of stdout for the help texts and the README examples, recorded
 # before the library modules and numpy were imported lazily (the two
-# heis dev digests: before the CSV output moved to a shared writer).  argparse
-# lays out help differently across Python versions (and by COLUMNS);
-# the help digests are those of Python 3.11 at 80 columns.
+# heis dev digests: before the CSV output moved to a shared writer; the
+# heis and algebra help: when it became the list of their operations,
+# each of which has a help page of its own).  argparse lays out help
+# differently across Python versions (and by COLUMNS); the help digests
+# are those of Python 3.11 at 80 columns.
 README_REP = '{"x":[0,0],"y":[1,0],"z":[0,1]}'
 HELP_DIGESTS = [
     (["-h"],
@@ -393,11 +483,11 @@ HELP_DIGESTS = [
     (["cells", "--help"],
      "d5eb182c53b732348b93d75b8da954fce4c9136be2351e07483036e90cfe39a1"),
     (["heis", "--help"],
-     "7a76c1d45f55b1ee3d0fbde7f941535d94909da9b39bd31f8e47601f141bd843"),
+     "9ef99078aa6d1c83f077981271157fae551033f5e96a1cc22cc5f96b4b27c35b"),
     (["regen", "--help"],
      "b37c5f39eb821ad56df9a6a9198b2796ab0f7a76026188e316d642c5b3f63e00"),
     (["algebra", "--help"],
-     "39bdfa8746c67aa6324a9b214daea5d7fc55e23cb26a89168827c4a78179d1da"),
+     "5e07ac4b5228700df8bc5f19af933cb2ff5a57978b96cf7cd4ba373bb7b2edb8"),
 ]
 README_DIGESTS = [
     (["limit", "--form", "1,1,1", "--conj", "t^2,t,1"], "",
@@ -567,12 +657,15 @@ def cli_argvs(draw, doc_paths):
         ["poset", str(p), str(draw(st.integers(0, 5 - p))),
          "--format", pick(["json", "dot"])],
         ["cells", str(p)] + pick([[], ["--poset"]]),
-        ["heis", pick(["classify", "dev"]), "--input", pick(doc_paths),
-         "--grid", "0:1:" + k, "--format", pick(["json", "csv", "svg"])],
+        ["heis", "classify", "--input", pick(doc_paths),
+         "--format", pick(["json", "csv", "svg"])],
+        ["heis", "dev", "--input", pick(doc_paths), "--grid", "0:1:" + k,
+         "--format", pick(["json", "csv", "svg"])],
         ["regen", "--input", pick(doc_paths), "--grid", "1:4:" + k,
          "--format", pick(["csv", "json"])],
-        ["algebra", pick(["mul", "conj", "norm", "inv", "idempotents"]),
-         "--a", pick(SCALARS), "--b", pick(SCALARS),
+        ["algebra", "mul", "--a", pick(SCALARS), "--b", pick(SCALARS)],
+        ["algebra", pick(["conj", "norm", "inv"]), "--a", pick(SCALARS)],
+        ["algebra", "idempotents",
          "--delta", pick(["-1", "0", "1", "2", "nan", "inf"])],
     ])
     for _ in range(draw(st.integers(0, 3))):
@@ -621,10 +714,12 @@ def test_run_fuzz(tmp_path):
     (["-h"], 0),
     (["--help"], 0),
     (["limit", "--help"], 0),
+    (["algebra", "mul", "--a", SCALAR, "--b", SCALAR], 0),
+    (["heis", "-h"], 0),
 ])
 def test_run_builds_one_parser(capsys, monkeypatch, argv, code):
-    # a subcommand's own parser, or for the top-level help one parser
-    # listing the subcommands
+    # the parser of the subcommand or operation the line names, or for a
+    # help page the one parser listing the subcommands or operations
     progs = []
     init = cli._Parser.__init__
 
@@ -634,5 +729,6 @@ def test_run_builds_one_parser(capsys, monkeypatch, argv, code):
 
     monkeypatch.setattr(cli._Parser, "__init__", spy)
     assert run(capsys, *argv)[0] == code
-    assert progs == ["geomlim" if argv[0].startswith("-")
-                     else "geomlim " + argv[0]]
+    prog = {"-h": "geomlim", "--help": "geomlim",
+            "algebra": "geomlim algebra mul"}.get(argv[0])
+    assert progs == [prog or "geomlim " + argv[0]]
