@@ -46,6 +46,15 @@ class Cell:
                 canon[i] = s
         self.signs = tuple(canon)
 
+    @classmethod
+    def _wrap(cls, blocks, signs):
+        """The cell of blocks, a tuple of ascending tuples that partition
+        0..n-1, and signs, a tuple of +-1 with + first in every block;
+        neither is copied or checked."""
+        c = cls.__new__(cls)
+        c.blocks, c.signs = blocks, signs
+        return c
+
     @property
     def n(self):
         return len(self.signs)
@@ -108,14 +117,16 @@ def enumerate_cells(n):
         raise ValueError("need n >= 2")
     if n > MAX_CELLS_N:
         raise ValueError("cells needs n <= {}".format(MAX_CELLS_N))
-    cells = []
+    # the blocks are ascending, and the first index of each keeps sign +
+    cells, wrap = [], Cell._wrap
     for blocks in _ordered_set_partitions(tuple(range(n))):
+        blocks = tuple(blocks)
         free = [i for b in blocks for i in b[1:]]
         for signs in itertools.product((1, -1), repeat=len(free)):
             assign = [1] * n
             for i, s in zip(free, signs):
                 assign[i] = s
-            cells.append(Cell(blocks, assign))
+            cells.append(wrap(blocks, tuple(assign)))
     return cells
 
 
@@ -144,8 +155,19 @@ def faces(cell):
     a nonempty proper subset followed by the rest, and the sign class is
     restricted to the new blocks.  Blocks are taken in order, subsets in
     itertools.combinations order."""
+    signs, wrap = cell.signs, Cell._wrap
     for blocks in _split_one_block(cell.blocks, _split_block):
-        yield Cell(blocks, cell.signs)
+        # the pieces of the split block are ascending, and only a piece
+        # without the block's first index can start with sign -: flip
+        # each block that does
+        new = signs
+        for piece in blocks:
+            if new[piece[0]] < 0:
+                new = list(new)
+                for j in piece:
+                    new[j] = -new[j]
+                new = tuple(new)
+        yield wrap(tuple(blocks), new)
 
 
 def boundary_cells(cell):

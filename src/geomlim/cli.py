@@ -19,6 +19,7 @@ one positional argument that lists the choices.
 """
 
 import argparse
+import functools
 import io
 import itertools
 import json
@@ -217,10 +218,11 @@ def cmd_heis(args):
             out["canonical"] = {"x": c.x, "y": c.y, "z": c.z}
         return out
     # developing-map sampling
-    grid = parse_grid(args.grid or "0:1:9")
     if args.format == "svg":
         # image of the unit-square boundary as a polyline, 33 points a
         # side; v runs one side behind u
+        if args.grid is not None:
+            raise InvalidInput("heis dev --format svg takes no --grid")
         ts = np.linspace(0, 1, 33)
         u = np.concatenate([ts, np.ones(33), 1 - ts, np.zeros(33)])
         xs, ys = heisenberg.developing_map(r, u, np.roll(u, 33))
@@ -232,6 +234,7 @@ def cmd_heis(args):
         return ('<svg xmlns="http://www.w3.org/2000/svg" viewBox="{}">'
                 '<polyline points="{}" fill="none" stroke="black" '
                 'stroke-width="0.5%"/></svg>\n').format(view, poly)
+    grid = parse_grid(args.grid or "0:1:9")
     us, vs = np.repeat(grid, len(grid)), np.tile(grid, len(grid))
     fxs, fys = heisenberg.developing_map(r, us, vs)
     return _csv(["u", "v", "fx", "fy"],
@@ -333,6 +336,18 @@ COMMANDS = {
 }
 
 
+@functools.cache
+def _common_parser():
+    """-h and COMMON_ARGUMENTS as the parent parser of every operation's
+    parser, which takes them without add_argument's per-option checks.
+    It is built on first use, not at import: a process's first argparse
+    parser imports ``locale``, about 2 ms."""
+    parser = argparse.ArgumentParser()
+    for flag, options in COMMON_ARGUMENTS:
+        parser.add_argument(flag, **options)
+    return parser
+
+
 def parse_args(argv):
     """The handler, formats and namespace of a command line.  Its first
     word names a row of COMMANDS or, for heis and algebra, a table whose
@@ -353,8 +368,9 @@ def parse_args(argv):
         words.append(rest[0])
         row = row[rest[0]]
     handler, formats, arguments = row
-    parser = _Parser(prog=" ".join(["geomlim", *words]))
-    for flag, options in COMMON_ARGUMENTS + arguments:
+    parser = _Parser(prog=" ".join(["geomlim", *words]),
+                     parents=[_common_parser()], add_help=False)
+    for flag, options in arguments:
         parser.add_argument(flag, **options)
     args = parser.parse_args(argv[len(words):])
     args.cmd, args.op = words[0], words[-1]
@@ -375,8 +391,9 @@ def run(argv):
             formats = ("dot",)
         args.format = args.format or formats[0]
         if args.format not in formats:
-            raise InvalidInput("{} emits only {}".format(
-                args.cmd, ", ".join(formats)))
+            op = "" if args.op == args.cmd else " " + args.op
+            raise InvalidInput("{}{} emits only {}".format(
+                args.cmd, op, ", ".join(formats)))
         result = handler(args)
         if not isinstance(result, str):
             result = json.dumps(result, sort_keys=True, indent=2,

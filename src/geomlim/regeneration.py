@@ -10,7 +10,14 @@ models; the pairings are traced as the conjugator diverges, and their
 limits, translations of the affine plane, are given in closed form.
 model_distance gives a model's distance between two affine points; the
 sampled checks of the midpoint and area-distortion lemmas, built on it,
-are in tests/lemmas.py."""
+are in tests/lemmas.py.
+
+A ModelParam may hold a stack of conjugators, and the point functions
+broadcast over its leading axes, so regenerate_trace computes every t of
+its grid in one pass over (T, ...) stacks with the code that computes a
+single point.  Each slice goes through the BLAS and LAPACK routine that a
+single point's product, dot or inverse calls, so a stacked sample has the
+bytes of the same sample computed alone."""
 
 import math
 
@@ -25,7 +32,9 @@ class OutsideDomain(ValueError):
 
 
 class ModelParam:
-    """A plane geometry kind plus its diagonal conjugator."""
+    """A plane geometry kind plus its diagonal conjugator, or a stack of
+    conjugators: D has shape (..., 3), and every method broadcasts over
+    its leading axes."""
 
     def __init__(self, kind, D=(1.0, 1.0, 1.0)):
         kind = kind.lower()
@@ -33,7 +42,7 @@ class ModelParam:
             raise ValueError("unknown kind {!r}".format(kind))
         self.kind = kind
         D = np.asarray(D, dtype=float)
-        if D.shape != (3,) or not np.all(np.isfinite(D) & (D > 0)):
+        if D.shape[-1:] != (3,) or not (np.isfinite(D) & (D > 0)).all():
             raise ValueError(
                 "conjugator must be three finite positive entries")
         self.D = D
@@ -41,7 +50,7 @@ class ModelParam:
     def to_model(self, p):
         """Affine patch point -> fixed model coordinates."""
         p = np.asarray(p, dtype=float)
-        return p / self.D[:2]
+        return p / self.D[..., :2]
 
     def form(self):
         """The form preserved by the model's isometries, in the working
@@ -51,21 +60,58 @@ class ModelParam:
         returned is the degenerate dual form D diag(1, 1, 0) D,
         preserved as A J A^T = J."""
         if self.kind == "euclidean":
-            return np.diag([self.D[0] ** 2, self.D[1] ** 2, 0.0])
+            # float_power calls the C library's pow on each entry, as a
+            # scalar d ** 2 does; an array ** 2 multiplies instead
+            d2 = np.float_power(self.D, 2)
+            d2[..., 2] = 0.0
+            return _diag(d2)
         sigma = -1.0 if self.kind == "hyperbolic" else 1.0
-        Dinv = np.diag(1.0 / self.D)
-        return Dinv.T @ np.diag([1.0, 1.0, sigma]) @ Dinv
+        Dinv = _diag(1.0 / self.D)
+        return np.swapaxes(Dinv, -1, -2) @ np.diag([1.0, 1.0, sigma]) @ Dinv
+
+
+def _diag(v):
+    """The diagonal matrices of the rows of a (..., 3) stack."""
+    out = np.zeros(v.shape + (3,))
+    i = np.arange(3)
+    out[..., i, i] = v
+    return out
+
+
+def _affine(p):
+    """The rows (x, y, 1) of a (..., 2) stack of points."""
+    out = np.empty(p.shape[:-1] + (3,))
+    out[..., :2] = p
+    out[..., 2] = 1.0
+    return out
+
+
+def _dot(x, y):
+    """x . y over the last axis: one BLAS dot per row, as the 1-D x @ y
+    computes it."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+OUTSIDE_DISK = "point outside the unit disk"
+
+
+def _in_disk(r2):
+    """Is each squared radius of a stack inside the unit disk?"""
+    return r2 < 1.0
 
 
 def _lift(kind, p):
-    """Lift a model point onto the quadric of the geometry."""
+    """Lift model points, a (..., 2) stack, onto the quadric of the
+    geometry."""
     p = np.asarray(p, dtype=float)
-    r2 = p @ p
+    r2 = _dot(p, p)
     if kind == "hyperbolic":
-        if r2 >= 1.0:
-            raise OutsideDomain("point outside the unit disk")
-        return np.array([p[0], p[1], 1.0]) / math.sqrt(1.0 - r2)
-    return np.array([p[0], p[1], 1.0]) / math.sqrt(1.0 + r2)
+        if not _in_disk(r2).all():
+            raise OutsideDomain(OUTSIDE_DISK)
+        s = np.sqrt(1.0 - r2)
+    else:
+        s = np.sqrt(1.0 + r2)
+    return _affine(p) / s[..., None]
 
 
 def model_distance(m, p, q):
@@ -76,7 +122,7 @@ def model_distance(m, p, q):
         return float(np.linalg.norm(a - b))
     if m.kind == "hyperbolic":
         if a @ a >= 1.0 or b @ b >= 1.0:
-            raise OutsideDomain("point outside the unit disk")
+            raise OutsideDomain(OUTSIDE_DISK)
         c = (1.0 - a @ b) / math.sqrt((1.0 - a @ a) * (1.0 - b @ b))
         return float(np.arccosh(max(1.0, c)))
     u = _lift("sphere", a)
@@ -85,7 +131,8 @@ def model_distance(m, p, q):
 
 
 def geodesic_midpoint(m, p, q):
-    """Equidistant point on the segment, in closed form.
+    """Equidistant point on the segment, in closed form; p and q may be
+    stacks of points that broadcast with m's conjugators.
 
     The Euclidean midpoint is the average.  In the curved models the
     quadric lifts u, v of the ends have <u, u> = <v, v> for the form, so
@@ -98,7 +145,7 @@ def geodesic_midpoint(m, p, q):
     if m.kind == "euclidean":
         return 0.5 * (p + q)
     w = _lift(m.kind, m.to_model(p)) + _lift(m.kind, m.to_model(q))
-    return w[:2] / w[2] * m.D[:2]
+    return w[..., :2] / w[..., 2:] * m.D[..., :2]
 
 
 class Parallelogram:
@@ -131,8 +178,17 @@ class Parallelogram:
         return [(V[i], V[(i + 1) % 4]) for i in range(4)]
 
 
+def _side_midpoints(m, Q, k):
+    """The geodesic midpoints of the first k sides (v1, v2), (v2, v3), ...
+    of Q, as one (k, ..., 2) stack over the leading axes of m.D."""
+    V = Q.vertices.reshape(4, *[1] * (m.D.ndim - 1), 2)
+    mids = geodesic_midpoint(m, V[:k], V[[1, 2, 3, 0][:k]])
+    return np.broadcast_to(mids, (k, *m.D.shape[:-1], 2))
+
+
 def side_pairing(m, Q):
-    """The two side pairings (A, B) of the parallelogram: A carries side
+    """The two side pairings (A, B) of the parallelogram, as one
+    (2, ..., 3, 3) stack over the leading axes of m.D: A carries side
     (v1, v2) to (v4, v3), B carries (v2, v3) to (v1, v4).
 
     Each is the half-turn H = diag(-1, -1, 1) about the origin after the
@@ -145,33 +201,37 @@ def side_pairing(m, Q):
     (x -> 2c - x for k = 0).  Raises OutsideDomain for a vertex outside
     the disk."""
     k = CURVATURE[m.kind]
-    d = np.array([m.D[0], m.D[1], 1.0])
+    d = m.D.copy()
+    d[..., 2] = 1.0
     hd = d * (-1.0, -1.0, 1.0)  # H D
-    V = Q.vertices
-    pairings = []
-    for p, q in ((V[0], V[1]), (V[1], V[2])):
-        c = m.to_model(geodesic_midpoint(m, p, q))
-        u = np.array([c[0], c[1], 1.0])
-        Gu = np.array([k * c[0], k * c[1], 1.0])
-        R = 2.0 * np.outer(u, Gu) / (u @ Gu) - np.eye(3)
-        pairings.append(hd[:, None] * R / d)
-    return tuple(pairings)
+    c = m.to_model(_side_midpoints(m, Q, 2))
+    u = _affine(c)
+    Gu = _affine(k * c)
+    R = 2.0 * (u[..., :, None] * Gu[..., None, :]) \
+        / _dot(u, Gu)[..., None, None] - np.eye(3)
+    return hd[..., :, None] * R / d[..., None, :]
 
 
 def projective_normalize(M):
-    """Scale a 3x3 matrix by its bottom-right entry (or, when that is at
-    most 1e-8, its largest entry)."""
+    """Scale a 3x3 matrix, or each of a stack, by its bottom-right entry
+    (or, when that is at most 1e-8, its largest entry)."""
     M = np.asarray(M, dtype=float)
-    if abs(M[2, 2]) > 1e-8:
-        return M / M[2, 2]
-    piv = M.flat[np.argmax(np.abs(M))]
-    return M / piv
+    corner = M[..., 2:, 2:]
+    flat = M.reshape(*M.shape[:-2], 9)
+    top = np.take_along_axis(flat, np.abs(flat).argmax(axis=-1)[..., None],
+                             axis=-1)[..., None]
+    return M / np.where(np.abs(corner) > 1e-8, corner, top)
 
 
 def heisenberg_criterion(D_path):
     """Do the first two path entries and their ratio all diverge?"""
     (_, e1), (_, e2), (c3, e3) = D_path.entries
     return e1 > e2 > 0 and e3 == 0 and c3 == 1.0
+
+
+def _larger(a, b):
+    """Python's max(a, b), entry by entry: b where b > a, else a."""
+    return np.where(b > a, b, a)
 
 
 def regenerate_trace(kind, D_path, Q, t_grid):
@@ -185,41 +245,58 @@ def regenerate_trace(kind, D_path, Q, t_grid):
     half-turns decay like t^(-2 e2), e2 the smaller exponent; in the
     Euclidean kind the pairings are these translations at every t.  A
     translation is in Heis, so limit_in_heis holds by construction.
-    Raises OutsideDomain when no t on the grid gives a valid sample."""
+
+    The path is evaluated and checked at each t in order.  A t at which
+    a vertex lies outside the disk gives a sample of t and the error;
+    the others are computed in one pass over (T, ...) stacks of the
+    conjugators, by the functions above.  Raises OutsideDomain when no
+    t on the grid gives a valid sample."""
     kind = ModelParam(kind).kind  # checked and lower-cased
     if D_path.n != 3:
         raise ValueError("conjugator path must have three entries")
     if kind != "euclidean" and not heisenberg_criterion(D_path):
         raise ValueError(
             "conjugator path does not satisfy the divergence criterion")
-    samples = []
+    t_grid = list(t_grid)
+    D = []
     for t in t_grid:
-        m = ModelParam(kind, D_path.evaluate(t))
-        try:
-            A, B = side_pairing(m, Q)
-        except OutsideDomain as exc:
-            samples.append({"t": t, "error": str(exc)})
-            continue
-        Qm = m.form()
-        if kind == "euclidean":
-            # the dual form, relative to its largest entry
-            form_res = max(np.abs(X @ Qm @ X.T - Qm).max()
-                           for X in (A, B)) / np.abs(Qm).max()
-        else:
-            form_res = max(np.abs(X.T @ Qm @ X - Qm).max() for X in (A, B))
-        A = projective_normalize(A)
-        B = projective_normalize(B)
-        comm = A @ B @ np.linalg.inv(A) @ np.linalg.inv(B) - np.eye(3)
-        mids = [geodesic_midpoint(m, p, q) for p, q in Q.sides()]
-        samples.append({
-            "t": t, "A": A, "B": B,
-            "commutator_residual": float(np.linalg.norm(comm)),
-            "form_residual": float(form_res),
-            "midpoints": mids,
-        })
-    if all("error" in s for s in samples):
-        raise OutsideDomain("no valid samples on the grid")
+        D.append(D_path.evaluate(t))
+        if len(D) == 1:
+            # D_t has the signs of the path's coefficients at every t, so
+            # the first D checks them all
+            ModelParam(kind, D[0])
+    m = ModelParam(kind, np.reshape(D, (-1, 3)))
     V = Q.vertices
+    valid = np.ones(len(t_grid), dtype=bool)
+    if kind == "hyperbolic":
+        P = m.to_model(V[:, None])  # (4, T, 2)
+        valid = _in_disk(_dot(P, P)).all(axis=0)
+    if not valid.any():
+        raise OutsideDomain("no valid samples on the grid")
+    if not valid.all():
+        m = ModelParam(kind, m.D[valid])
+    AB = side_pairing(m, Q)
+    Qm = m.form()
+    if kind == "euclidean":
+        # the dual form, relative to its largest entry
+        res = np.abs(AB @ Qm @ AB.swapaxes(-1, -2) - Qm).max(axis=(-2, -1))
+        form_res = _larger(*res) / np.abs(Qm).max(axis=(-2, -1))
+    else:
+        res = np.abs(AB.swapaxes(-1, -2) @ Qm @ AB - Qm).max(axis=(-2, -1))
+        form_res = _larger(*res)
+    AB = projective_normalize(AB)
+    (A, B), (Ai, Bi) = AB, np.linalg.inv(AB)
+    comm = (A @ B @ Ai @ Bi - np.eye(3)).reshape(-1, 9)
+    rows = zip(A, B, np.sqrt(_dot(comm, comm)).tolist(), form_res.tolist(),
+               _side_midpoints(m, Q, 4).swapaxes(0, 1))
+    samples = []
+    for t, ok in zip(t_grid, valid.tolist()):
+        if not ok:
+            samples.append({"t": t, "error": OUTSIDE_DISK})
+            continue
+        a, b, comm_r, form_r, mid = next(rows)
+        samples.append({"t": t, "A": a, "B": b, "commutator_residual": comm_r,
+                        "form_residual": form_r, "midpoints": mid})
     A_inf, B_inf = np.eye(3), np.eye(3)
     A_inf[:2, 2] = V[3] - V[0]
     B_inf[:2, 2] = V[0] - V[1]

@@ -198,3 +198,25 @@ def test_cell_order_contains_limit_poset(p, q):
         assert (len(edges), len(face_edges)) == EXTRA_FACE_EDGES[p, q]
     else:
         assert set(edges) == face_edges
+
+
+def _same_cell(c):
+    """c against the public constructor's cell of its blocks and signs."""
+    public = Cell(c.blocks, c.signs)
+    assert type(c.blocks) is tuple and all(type(b) is tuple for b in c.blocks)
+    assert type(c.signs) is tuple
+    assert c.blocks == public.blocks and c.signs == public.signs
+    assert c == public and hash(c) == hash(public)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_private_constructor_cells_are_the_public_ones(n):
+    # enumerate_cells and faces build their cells without the
+    # constructor's sort, cover and sign checks; each is the cell the
+    # constructor makes of its blocks and signs, and each face is the
+    # constructor's cell of the split blocks with the parent's signs
+    for c in cells.enumerate_cells(n):
+        _same_cell(c)
+        for f in cells.faces(c):
+            _same_cell(f)
+            assert f == Cell(f.blocks, c.signs)

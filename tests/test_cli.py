@@ -150,6 +150,9 @@ INVALID_ARGVS = [
     # and a required option that is missing
     ["algebra", "inv", "--b", '{"re":1,"delta":1}'],
     ["algebra", "idempotents"],
+    # the SVG samples its own 33 points a side, so heis dev refuses a
+    # --grid with it
+    ["heis", "dev", "--grid", "0:1:9", "--format", "svg", "--input", REP],
 ]
 
 
@@ -313,7 +316,7 @@ def test_heis_commands(capsys, tmp_path):
     assert out.splitlines()[0] == "u,v,fx,fy"
     assert len(out.splitlines()) == 10
     code, out, _ = run(capsys, "heis", "dev", "--input", str(f),
-                       "--grid", "0:1:3", "--format", "svg")
+                       "--format", "svg")
     assert code == 0
     assert out.startswith("<svg")
     bad = tmp_path / "bad.json"
@@ -467,9 +470,10 @@ def test_combinatorics_output_unchanged(capsys, argv, digest):
 
 # SHA-256 of stdout for the help texts and the README examples, recorded
 # before the library modules and numpy were imported lazily (the two
-# heis dev digests: before the CSV output moved to a shared writer; the
-# heis and algebra help: when it became the list of their operations,
-# each of which has a help page of its own).  argparse lays out help
+# heis dev digests: before the CSV output moved to a shared writer, the
+# SVG one with a --grid it never read; the heis and algebra help: when it
+# became the list of their operations, each of which has a help page of
+# its own).  argparse lays out help
 # differently across Python versions (and by COLUMNS); the help digests
 # are those of Python 3.11 at 80 columns.
 README_REP = '{"x":[0,0],"y":[1,0],"z":[0,1]}'
@@ -503,7 +507,7 @@ README_DIGESTS = [
      "8ba8f3534d406d1f3ccadae4982528f9672bebfcb70b27a3d7823c38d7fc5cf8"),
     (["heis", "dev", "--grid", "0:1:9"], README_REP,
      "46e2ca38c90ed3a5cfe83e79c10757074e85aaa49856846d99034f7143f5c18e"),
-    (["heis", "dev", "--grid", "0:1:9", "--format", "svg"], README_REP,
+    (["heis", "dev", "--format", "svg"], README_REP,
      "16bf7e77b8814198f77cfd970be24fd535719f7b0353e09cd771508fbff2324c"),
 ]
 PY311 = pytest.mark.skipif(sys.version_info[:2] != (3, 11),
@@ -624,9 +628,10 @@ FORMS = ["1,1,1", "1,1,-1", "1,-1,1,-1", "2,3,-1", "1,0,1", "1,nan,1",
          "1e308,1,1", "1,a,1"]
 PATHS = ["t^2,t,1", "1,1,t^1/2", "t^3,t^2,t,1", "0.0001*t,t,1", "t^1/0,t,1",
          "t^2,t", "t^x,1"]
-SCALARS = ['{"re": 1.5, "im": -2, "delta": -1}', '{"re": 1, "delta": 1}',
-           '{"re": 0, "im": 0, "delta": 2}', '{"re": "x", "delta": 0}',
-           '{"re": null, "delta": 0}', "[1]", "{"]
+SCALARS_OK = ['{"re": 1.5, "im": -2, "delta": -1}', '{"re": 1, "delta": 1}',
+              '{"re": 0, "im": 0, "delta": 2}']
+SCALARS = SCALARS_OK + ['{"re": "x", "delta": 0}', '{"re": null, "delta": 0}',
+                        "[1]", "{"]
 # Mutation tokens.  Integers stay small or, like 99, past the size caps
 # of cells and poset, and grids stay small or, like 0:1:1002, past the
 # grid cap, so no mutation makes a large run; --out appears only with a
@@ -640,34 +645,48 @@ TOKENS = ["-1", "0", "1", "99", "x", "1.5", "nan", "inf", "1e308", "", "-h",
           "--out=/nonexistent/dir/x.json"] + FORMS + PATHS + SCALARS
 
 
+# The documents an unmutated draw reads: Heisenberg representations for
+# heis, job files for regen, scalars for algebra.  The other documents
+# and scalars reach a command line through the mutations.
+FUZZ_REPS = ["translation", "shear", "flat"]
+FUZZ_JOBS = ["job", "job_grid", "sphere_grid"]
+
+
 @st.composite
-def cli_argvs(draw, doc_paths):
+def cli_argvs(draw, paths):
     """A command line of the README grammar, with at most three tokens
-    after the subcommand replaced, deleted or inserted.  Sizes stay small:
-    cells n <= 4, poset p + q <= 5, grids of at most 9 points, unless a
-    mutation puts in 99, which the size caps refuse."""
+    after the subcommand replaced, deleted or inserted.  Before the
+    mutations each operation gets its own formats, documents of its kind
+    (``paths`` maps a FUZZ_DOCS name to its file) and --grid only where it
+    is read: for heis dev's csv and a regen job without a t_grid.  Sizes
+    stay small: cells n <= 4, poset p + q <= 5, grids of at most 9 points,
+    unless a mutation puts in 99, which the size caps refuse."""
     def pick(options):
         return draw(st.sampled_from(options))
 
     p = draw(st.integers(1, 4))
     k = str(draw(st.integers(1, 9)))
+    dev_format = pick(["csv", "svg"])
+    job = pick(FUZZ_JOBS)
     argv = pick([
         ["limit", "--form", pick(FORMS), "--conj", pick(PATHS)],
         ["limit", "--path", pick(PATHS)] + pick([[], ["--reverse"]]),
         ["poset", str(p), str(draw(st.integers(0, 5 - p))),
          "--format", pick(["json", "dot"])],
-        ["cells", str(p)] + pick([[], ["--poset"]]),
-        ["heis", "classify", "--input", pick(doc_paths),
-         "--format", pick(["json", "csv", "svg"])],
-        ["heis", "dev", "--input", pick(doc_paths), "--grid", "0:1:" + k,
-         "--format", pick(["json", "csv", "svg"])],
-        ["regen", "--input", pick(doc_paths), "--grid", "1:4:" + k,
-         "--format", pick(["csv", "json"])],
-        ["algebra", "mul", "--a", pick(SCALARS), "--b", pick(SCALARS)],
-        ["algebra", pick(["conj", "norm", "inv"]), "--a", pick(SCALARS)],
+        ["cells", str(draw(st.integers(2, 4)))] + pick([[], ["--poset"]]),
+        ["heis", "classify", "--input", paths[pick(FUZZ_REPS)],
+         "--format", "json"],
+        ["heis", "dev", "--input", paths[pick(FUZZ_REPS)],
+         "--format", dev_format]
+        + (["--grid", "0:1:" + k] if dev_format == "csv" else []),
+        ["regen", "--input", paths[job], "--format", pick(["csv", "json"])]
+        + ([] if "t_grid" in FUZZ_DOCS[job] else ["--grid", "1:4:" + k]),
+        ["algebra", "mul", "--a", pick(SCALARS_OK), "--b", pick(SCALARS_OK)],
+        ["algebra", pick(["conj", "norm", "inv"]), "--a", pick(SCALARS_OK)],
         ["algebra", "idempotents",
          "--delta", pick(["-1", "0", "1", "2", "nan", "inf"])],
     ])
+    doc_paths = list(paths.values())
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(1, len(argv)))
         op = pick(["insert", "replace", "delete"])
@@ -681,16 +700,18 @@ def cli_argvs(draw, doc_paths):
 
 
 def test_run_fuzz(tmp_path):
-    doc_paths = [str(tmp_path / "missing.json"), str(tmp_path / "bad.json")]
+    paths = {"missing": str(tmp_path / "missing.json"),
+             "bad": str(tmp_path / "bad.json")}
     (tmp_path / "bad.json").write_text("{")
     for name, doc in FUZZ_DOCS.items():
-        doc_paths.append(str(tmp_path / (name + ".json")))
+        paths[name] = str(tmp_path / (name + ".json"))
         (tmp_path / (name + ".json")).write_text(json.dumps(doc))
     stdins = [json.dumps(doc) for doc in FUZZ_DOCS.values()] + ["", "{"]
+    succeeded = set()
 
     @settings(max_examples=300, deadline=None, derandomize=True,
               database=None)
-    @given(cli_argvs(doc_paths), st.sampled_from(stdins))
+    @given(cli_argvs(paths), st.sampled_from(stdins))
     def check(argv, stdin):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), \
@@ -704,8 +725,12 @@ def test_run_fuzz(tmp_path):
             assert out.getvalue() == "" and not caught
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and "error" in json.loads(lines[0])
+        else:
+            succeeded.add(argv[0])
 
     check()
+    # the draws reach every subcommand's output, not only its refusals
+    assert succeeded == set(cli.COMMANDS)
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from geomlim.limits import MonomialDiagonal
 from geomlim.regeneration import ModelParam, Parallelogram
 
 import lemmas
+import regen_reference
 
 rng = np.random.default_rng(3321)
 
@@ -26,6 +28,11 @@ def test_model_param_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError):
             ModelParam("sphere", (bad, 1.0, 1.0))
+    # a stack of conjugators is checked entry by entry
+    assert ModelParam("sphere", np.ones((4, 3))).D.shape == (4, 3)
+    for bad in ([(1.0, 1.0, 1.0), (1.0, 0.0, 1.0)], np.ones((3, 2)), 1.0):
+        with pytest.raises(ValueError):
+            ModelParam("sphere", bad)
 
 
 @pytest.mark.parametrize("kind", regen.KINDS)
@@ -393,3 +400,129 @@ def test_parallelogram_checks_ignore_scale(ra, rb, alpha, beta, c):
         Parallelogram([p, q, -p + [0.125 * c, 0.0], -q])
     with pytest.raises(ValueError, match="collinear"):
         Parallelogram([p, 2 * p, -p, -2 * p])
+
+
+def _json(f, *args):
+    """The JSON text of f(*args) as the CLI prints it, or the error."""
+    try:
+        with np.errstate(all="ignore"):
+            out = f(*args)
+    except ValueError as exc:
+        return "{}: {}".format(type(exc).__name__, exc)
+    return json.dumps(out, sort_keys=True, default=lambda a: a.tolist())
+
+
+def _same_as_reference(kind, path, vertices, t_grid):
+    got = _json(regen.regenerate_trace, kind, path, Parallelogram(vertices),
+                t_grid)
+    assert got == _json(regen_reference.regenerate_trace, kind, path,
+                        Parallelogram(vertices), t_grid)
+    return got
+
+
+exponents = st.fractions(min_value=Fraction(1, 4), max_value=4,
+                         max_denominator=4)
+
+
+@st.composite
+def regen_jobs(draw):
+    """A kind, a conjugator path the kind admits, the vertices of a
+    parallelogram and a t grid; small t often puts the vertices outside
+    the hyperbolic disk."""
+    kind = draw(st.sampled_from(regen.KINDS))
+    e1, e2 = sorted(draw(st.lists(exponents, min_size=2, max_size=2,
+                                  unique=True)), reverse=True)
+    coeff = st.floats(0.25, 4.0)
+    c1, c2 = draw(coeff), draw(coeff)
+    if kind == "euclidean":
+        c1 *= draw(st.sampled_from([1.0, -1.0]))
+        e1, e2 = draw(exponents) - 2, draw(exponents) - 2
+    path = MonomialDiagonal([(c1, e1), (c2, e2), (1.0, Fraction(0))])
+    r = st.floats(0.01, 0.95)
+    angle = st.floats(0.0, 2 * np.pi)
+    ra, rb, alpha = draw(r), draw(r), draw(angle)
+    beta = alpha + draw(st.floats(0.2, np.pi - 0.2))
+    a = [ra * np.cos(alpha), ra * np.sin(alpha)]
+    b = [rb * np.cos(beta), rb * np.sin(beta)]
+    vertices = [a, b, [-a[0], -a[1]], [-b[0], -b[1]]]
+    if draw(st.booleans()):
+        lo = draw(st.floats(-3.0, 2.0))
+        t_grid = np.logspace(lo, lo + draw(st.floats(0.0, 4.0)),
+                             draw(st.integers(1, 60))).tolist()
+    else:
+        t_grid = draw(st.lists(st.floats(1e-3, 1e6), min_size=1,
+                               max_size=12))
+    return kind, path, vertices, t_grid
+
+
+@settings(deadline=None, max_examples=150)
+@given(regen_jobs())
+def test_regenerate_trace_matches_the_per_point_loop(job):
+    # the stacked pass prints what the loop over t prints, byte for byte:
+    # samples, error samples, the limits and the errors raised
+    _same_as_reference(*job)
+
+
+@pytest.mark.parametrize("kind", regen.KINDS)
+def test_regenerate_trace_matches_the_per_point_loop_on_1001_points(kind):
+    from geomlim import cli
+
+    t_grid = cli.parse_grid("-1:4:1001", log=True)
+    out = json.loads(_same_as_reference(
+        kind, heis_path(), SHAPES["skew"], t_grid))
+    # from t = 0.1 the skew shape starts outside the hyperbolic disk
+    dropped = sum("error" in s for s in out["samples"])
+    assert 0 < dropped < 1001 if kind == "hyperbolic" else dropped == 0
+
+
+@settings(deadline=None, max_examples=150)
+@given(regen_jobs(), st.integers(0, 59))
+def test_per_point_functions_match_the_reference(job, i):
+    # one conjugator at a time, the broadcasting functions compute what
+    # the per-point reference computes, byte for byte
+    kind, path, vertices, t_grid = job
+    t = t_grid[i % len(t_grid)]
+    D = path.evaluate(t)
+    assume((D > 0).all())
+    m, Q = ModelParam(kind, D), Parallelogram(vertices)
+    V = Q.vertices
+    assert m.form().tobytes() == regen_reference.form(kind, D).tobytes()
+    try:
+        want = regen_reference.side_pairing(kind, D, V)
+    except regen.OutsideDomain:
+        with pytest.raises(regen.OutsideDomain):
+            regen.side_pairing(m, Q)
+        return
+    A, B = regen.side_pairing(m, Q)
+    assert A.tobytes() == want[0].tobytes()
+    assert B.tobytes() == want[1].tobytes()
+    for X, Y in ((A, want[0]), (B, want[1])):
+        assert regen.projective_normalize(X).tobytes() \
+            == regen_reference.projective_normalize(Y).tobytes()
+    for p, q in Q.sides():
+        assert regen.geodesic_midpoint(m, p, q).tobytes() \
+            == regen_reference.geodesic_midpoint(kind, D, p, q).tobytes()
+
+
+def test_projective_normalize_falls_back_to_the_largest_entry():
+    # a stack that takes both branches: the corner, and the entry of
+    # largest magnitude (the first of ties) when the corner is tiny
+    M = np.array([[[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]],
+                  [[1.0, -4.0, 0.0], [4.0, 1.0, 0.0], [0.0, 0.0, 1e-9]]])
+    got = regen.projective_normalize(M)
+    for X, Y in zip(got, M):
+        assert X.tobytes() == regen_reference.projective_normalize(Y).tobytes()
+    assert got[1, 0, 1] == 1.0
+
+
+def test_regenerate_trace_drops_each_t_with_a_vertex_outside_the_disk():
+    # the fourth vertex alone outside the disk drops the sample, as each
+    # of the others does
+    V = [[0.5, 0.0], [0.0, 0.5], [-0.5, 0.0], [0.0, -0.5]]
+    trace = regen.regenerate_trace("hyperbolic", heis_path(),
+                                   Parallelogram(V), [0.1, 0.5, 10.0])
+    assert [s.get("error") for s in trace["samples"]] == [
+        "point outside the unit disk", "point outside the unit disk", None]
+    with pytest.raises(regen.OutsideDomain, match="no valid samples"):
+        regen.regenerate_trace("hyperbolic", heis_path(), Parallelogram(V),
+                               [0.1, 0.5])
