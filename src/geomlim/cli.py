@@ -6,8 +6,11 @@ invalid input (JSON error on stderr), 64 unknown subcommand.
 The library raises a ValueError for input outside its domain; ``run`` is
 the one place that turns it into exit 2, and the one place that writes
 command output.  Handlers return library values as they are, and ``run``
-renders them as JSON with one array hook, ``_tolist``; the text formats
-come from the one DOT writer, ``_dot``, and the one CSV writer, ``_csv``.
+renders them with the one JSON writer, ``_json``, which writes the bytes
+of the stdlib's ``json.dumps`` with sorted keys and a 2-space indent (an
+indent the stdlib serves only from its pure-Python encoder), numpy
+arrays through one hook, ``_tolist``.  The text formats come from the
+one DOT writer, ``_dot``, and the one CSV writer, ``_csv``.
 
 numpy, ``fractions`` and the library modules are imported by the
 functions that use them, so ``poset``, ``cells`` and ``algebra`` run
@@ -105,8 +108,74 @@ def _read_json(build, text=None, path=None):
 
 
 def _tolist(value):
-    """json.dumps hook: a numpy array (or scalar) as nested lists."""
+    """The JSON hook: a numpy array (or scalar) as nested lists."""
     return value.tolist()
+
+
+_STR = json.encoder.encode_basestring_ascii
+# the writer of each leaf type a list is often made of alone; a list of
+# floats is checked afterwards, since only a non-finite repr holds an "n"
+_JOIN = {str: _STR, int: int.__repr__, float: float.__repr__}
+
+
+def _float(x):
+    """A float as json writes it, which refuses NaN and infinities."""
+    text = float.__repr__(x)
+    if "n" in text:
+        raise ValueError(
+            "Out of range float values are not JSON compliant: " + repr(x))
+    return text
+
+
+def _key(k):
+    """A dict key as json writes it: a str, or the JSON text of a number,
+    bool or None, quoted."""
+    if isinstance(k, str):
+        return _STR(k)
+    if k is None or isinstance(k, (int, float)):
+        return _STR(_json(k))
+    raise TypeError("keys must be str, int, float, bool or None, not "
+                    + k.__class__.__name__)
+
+
+def _json(doc, pad="\n"):
+    """The text of json.dumps(doc, sort_keys=True, indent=2,
+    allow_nan=False, default=_tolist), byte for byte and with its errors.
+    pad is the newline and indent of doc's own line; a list of one leaf
+    type is written by one join.  It does not detect cycles: handlers
+    return trees."""
+    if isinstance(doc, dict):
+        if not doc:
+            return "{}"
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join([
+            _key(k) + ": " + _json(v, inner)
+            for k, v in sorted(doc.items())]) + pad + "}"
+    if isinstance(doc, (list, tuple)):
+        if not doc:
+            return "[]"
+        inner = pad + "  "
+        kinds = set(map(type, doc))
+        leaf = _JOIN.get(kinds.pop()) if len(kinds) == 1 else None
+        text = ("," + inner).join(
+            map(leaf, doc) if leaf else [_json(x, inner) for x in doc])
+        if leaf is float.__repr__ and "n" in text:
+            list(map(_float, doc))  # raises on the first non-finite entry
+        return "[" + inner + text + pad + "]"
+    if isinstance(doc, str):
+        return _STR(doc)
+    # bool is an int, so the constants come first
+    if doc is None:
+        return "null"
+    if doc is True:
+        return "true"
+    if doc is False:
+        return "false"
+    if isinstance(doc, int):
+        return int.__repr__(doc)
+    if isinstance(doc, float):
+        return _float(doc)
+    return _json(_tolist(doc), pad)
 
 
 def _dot(name, prefix, labels, edges):
@@ -123,12 +192,10 @@ def _dot(name, prefix, labels, edges):
 
 
 def _csv(head, rows):
-    """The CSV of head and rows of Python floats, each written as its repr."""
-    buf = io.StringIO()
-    buf.write(",".join(head) + "\n")
-    for row in rows:
-        buf.write(",".join(map(repr, row)) + "\n")
-    return buf.getvalue()
+    """The CSV of head and rows, tuples of Python floats, each written as
+    its repr."""
+    line = ",".join(["%r"] * len(head)) + "\n"
+    return ",".join(head) + "\n" + "".join(map(line.__mod__, rows))
 
 
 def cmd_limit(args):
@@ -274,8 +341,8 @@ def cmd_regen(args):
         + ["B{}{}".format(i, j) for i in range(3) for j in range(3)] \
         + ["commutator_residual", "form_residual"]
     return _csv(head, (
-        map(float, [s["t"], *s["A"].ravel(), *s["B"].ravel(),
-                    s["commutator_residual"], s["form_residual"]])
+        (float(s["t"]), *s["A"].ravel().tolist(), *s["B"].ravel().tolist(),
+         s["commutator_residual"], s["form_residual"])
         for s in trace["samples"] if "error" not in s))
 
 
@@ -396,8 +463,7 @@ def run(argv):
                 args.cmd, op, ", ".join(formats)))
         result = handler(args)
         if not isinstance(result, str):
-            result = json.dumps(result, sort_keys=True, indent=2,
-                                allow_nan=False, default=_tolist) + "\n"
+            result = _json(result) + "\n"
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(result)

@@ -93,6 +93,7 @@ def _dot(x, y):
 
 
 OUTSIDE_DISK = "point outside the unit disk"
+OUT_OF_RANGE = "form leaves the float range"
 
 
 def _in_disk(r2):
@@ -247,10 +248,11 @@ def regenerate_trace(kind, D_path, Q, t_grid):
     translation is in Heis, so limit_in_heis holds by construction.
 
     The path is evaluated and checked at each t in order.  A t at which
-    a vertex lies outside the disk gives a sample of t and the error;
-    the others are computed in one pass over (T, ...) stacks of the
-    conjugators, by the functions above.  Raises OutsideDomain when no
-    t on the grid gives a valid sample."""
+    a vertex lies outside the disk, or else the form has an entry past
+    the float range, gives a sample of t and the error; the others are
+    computed in one pass over (T, ...) stacks of the conjugators, by the
+    functions above.  Raises OutsideDomain when no t on the grid gives a
+    valid sample."""
     kind = ModelParam(kind).kind  # checked and lower-cased
     if D_path.n != 3:
         raise ValueError("conjugator path must have three entries")
@@ -267,16 +269,20 @@ def regenerate_trace(kind, D_path, Q, t_grid):
             ModelParam(kind, D[0])
     m = ModelParam(kind, np.reshape(D, (-1, 3)))
     V = Q.vertices
-    valid = np.ones(len(t_grid), dtype=bool)
-    if kind == "hyperbolic":
-        P = m.to_model(V[:, None])  # (4, T, 2)
-        valid = _in_disk(_dot(P, P)).all(axis=0)
+    inside = np.ones(len(t_grid), dtype=bool)
+    # a form or a model point past the float range is inf or NaN, and is
+    # told by the masks, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "hyperbolic":
+            P = m.to_model(V[:, None])  # (4, T, 2)
+            inside = _in_disk(_dot(P, P)).all(axis=0)
+        Qm = m.form()
+        valid = inside & np.isfinite(Qm).all(axis=(-2, -1))
     if not valid.any():
         raise OutsideDomain("no valid samples on the grid")
     if not valid.all():
-        m = ModelParam(kind, m.D[valid])
+        m, Qm = ModelParam(kind, m.D[valid]), Qm[valid]
     AB = side_pairing(m, Q)
-    Qm = m.form()
     if kind == "euclidean":
         # the dual form, relative to its largest entry
         res = np.abs(AB @ Qm @ AB.swapaxes(-1, -2) - Qm).max(axis=(-2, -1))
@@ -290,9 +296,10 @@ def regenerate_trace(kind, D_path, Q, t_grid):
     rows = zip(A, B, np.sqrt(_dot(comm, comm)).tolist(), form_res.tolist(),
                _side_midpoints(m, Q, 4).swapaxes(0, 1))
     samples = []
-    for t, ok in zip(t_grid, valid.tolist()):
+    for t, ok, ins in zip(t_grid, valid.tolist(), inside.tolist()):
         if not ok:
-            samples.append({"t": t, "error": OUTSIDE_DISK})
+            samples.append({"t": t,
+                            "error": OUT_OF_RANGE if ins else OUTSIDE_DISK})
             continue
         a, b, comm_r, form_r, mid = next(rows)
         samples.append({"t": t, "A": a, "B": b, "commutator_residual": comm_r,

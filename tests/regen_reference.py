@@ -2,8 +2,9 @@
 geomlim.regeneration.regenerate_trace replaced with one pass over stacks,
 kept as the reference that pass must match byte for byte.  Each sample's
 four midpoints come before its pairings, so a t at which any vertex lies
-outside the disk gives an error sample.  Test code, imported by the
-suites as ``regen_reference``."""
+outside the disk gives an error sample; so does a t whose form has an
+entry past the float range.  Test code, imported by the suites as
+``regen_reference``."""
 
 import math
 
@@ -80,6 +81,9 @@ def regenerate_trace(kind, D_path, Q, t_grid):
             samples.append({"t": t, "error": str(exc)})
             continue
         Qm = form(kind, D)
+        if not np.isfinite(Qm).all():
+            samples.append({"t": t, "error": "form leaves the float range"})
+            continue
         if kind == "euclidean":
             form_res = max(np.abs(X @ Qm @ X.T - Qm).max()
                            for X in (A, B)) / np.abs(Qm).max()

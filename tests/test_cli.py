@@ -11,7 +11,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from geomlim import cli
 
@@ -74,6 +74,9 @@ REP = {"x": [0, 0], "y": [1, 0], "z": [0, 1]}
 JOB = {"kind": "hyperbolic", "D_path": "t^2,t,1",
        "vertices": [[0.1, 0.0], [0.0, 0.1], [-0.1, 0.0], [0.0, -0.1]]}
 NAN = float("nan")
+# a Euclidean job whose dual form diag(t^4, t^2, 0) overflows at t = 1e100
+WIDE_JOB = {"kind": "euclidean", "D_path": "t^2,t,1",
+            "vertices": [[0.3, 0.1], [-0.1, 0.3], [-0.3, -0.1], [0.1, -0.3]]}
 
 
 # A dict as the last argument is written to a file and passed as its path.
@@ -153,6 +156,9 @@ INVALID_ARGVS = [
     # the SVG samples its own 33 points a side, so heis dev refuses a
     # --grid with it
     ["heis", "dev", "--grid", "0:1:9", "--format", "svg", "--input", REP],
+    # no t at which the form stays within the float range
+    ["regen", "--input", dict(WIDE_JOB, t_grid=[1e100])],
+    ["regen", "--format", "json", "--input", dict(WIDE_JOB, t_grid=[1e100])],
 ]
 
 
@@ -343,6 +349,30 @@ def test_regen_command(capsys, tmp_path):
     assert doc["limit_in_heis"] is True
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_regen_drops_each_t_whose_form_leaves_the_float_range(
+        capsys, tmp_path, fmt):
+    # such a t is an error sample, which the CSV omits; a grid of no other
+    # t exits 2, and numpy warns of nothing on stderr
+    f = tmp_path / "job.json"
+    argv = ["regen", "--input", str(f), "--format", fmt]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f.write_text(json.dumps(dict(WIDE_JOB, t_grid=[1e100])))
+        assert run(capsys, *argv) == (
+            2, "", '{"error": "no valid samples on the grid"}\n')
+        f.write_text(json.dumps(dict(WIDE_JOB, t_grid=[10, 1e100])))
+        code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    if fmt == "csv":
+        assert [line.split(",", 1)[0] for line in out.splitlines()] == [
+            "t", "10.0"]
+    else:
+        ok, wide = json.loads(out)["samples"]
+        assert ok["t"] == 10 and ok["form_residual"] == 0.0
+        assert wide == {"t": 1e100, "error": "form leaves the float range"}
+
+
 def test_negative_grid_start_needs_equals(capsys, tmp_path):
     # argparse takes a value that starts with "-" for an option unless it
     # is a plain number, so a grid from a negative end is given with "="
@@ -440,6 +470,88 @@ def test_out_flag(capsys, tmp_path):
     code, out, _ = run(capsys, "cells", "3", "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["counts"] == [6, 12, 4]
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and text of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _dumps(doc):
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False,
+                      default=cli._tolist)
+
+
+def _json_docs():
+    """Documents of the kinds handlers return and some they do not: str,
+    int, float, bool and None leaves, numpy arrays and scalars, lists and
+    tuples, and dicts keyed by one kind of JSON key."""
+    import numpy as np
+    from hypothesis.extra import numpy as hnp
+
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    strings = st.text() | st.sampled_from(
+        ['"', "\\", "\x00\x1f\x7f", "\u00e9", "\u2028", "\U0001f600"])
+    floats = finite | st.sampled_from([-0.0, 5e-324, 1e308])
+    ints = st.integers() | st.sampled_from([2 ** 64, -2 ** 100])
+    arrays = hnp.arrays(
+        st.sampled_from([np.float64, np.int64, np.bool_]),
+        hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3))
+    leaves = st.one_of(
+        st.none(), st.booleans(), ints, floats, strings, arrays,
+        finite.map(np.float64), st.integers(-2 ** 63, 2 ** 63 - 1).map(
+            np.int64),
+        # lists of one leaf type, and a non-finite float among finite ones
+        st.lists(floats), st.lists(ints), st.lists(strings),
+        st.lists(st.floats()))
+    keys = [strings, ints, finite, st.booleans(), st.none()]
+    return st.recursive(leaves, lambda docs: st.one_of(
+        st.lists(docs, max_size=4), st.lists(docs, max_size=4).map(tuple),
+        st.sampled_from(keys).flatmap(
+            lambda k: st.dictionaries(k, docs, max_size=4))), max_leaves=24)
+
+
+def test_json_writer_is_the_stdlib_encoder():
+    @settings(max_examples=500, deadline=None, derandomize=True,
+              database=None)
+    @given(_json_docs())
+    def check(doc):
+        assert _outcome(cli._json, doc) == _outcome(_dumps, doc)
+
+    check()
+
+
+@pytest.mark.parametrize("bad", [NAN, float("inf"), float("-inf")])
+def test_json_writer_refuses_non_finite_floats(bad):
+    import numpy as np
+
+    for doc in (bad, [1.0, bad], [1, bad], np.float64(bad),
+                np.array([[0.5, bad]]), {"x": (2.0, {"y": bad})}, {bad: 1}):
+        got = _outcome(cli._json, doc)
+        assert got == _outcome(_dumps, doc)
+        assert got[0] is ValueError and got[1].startswith(
+            "Out of range float values are not JSON compliant: ")
+
+
+def _csv_per_row(head, rows):
+    """cli._csv as it was, one join of reprs per row."""
+    return "".join(",".join(row) + "\n" for row in [
+        head, *(map(repr, row) for row in rows)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@example([])
+@given(st.lists(st.tuples(
+    st.integers(1, 10 ** 6).map(float),
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, -2.5e-310, 1e308]),
+    st.floats(allow_nan=False, allow_infinity=False)), max_size=5))
+def test_csv_writer_is_the_per_row_join(rows):
+    head = ["t", "x", "y"]
+    assert cli._csv(head, rows) == _csv_per_row(head, rows)
 
 
 # SHA-256 of stdout, recorded before faces and limit_poset were rebuilt

@@ -526,3 +526,31 @@ def test_regenerate_trace_drops_each_t_with_a_vertex_outside_the_disk():
     with pytest.raises(regen.OutsideDomain, match="no valid samples"):
         regen.regenerate_trace("hyperbolic", heis_path(), Parallelogram(V),
                                [0.1, 0.5])
+
+
+TINY_FIRST = MonomialDiagonal([(1e-200, Fraction(2)), (1.0, Fraction(1)),
+                               (1.0, Fraction(0))])
+
+
+@pytest.mark.parametrize("kind, path, t_grid, errors", [
+    # the dual form diag(t^4, t^2, 0) overflows at t = 1e100
+    ("euclidean", heis_path(), [10, 1e100], [None, regen.OUT_OF_RANGE]),
+    # 1 / d1^2 overflows at t = 10, where d1 = 1e-198
+    ("sphere", TINY_FIRST, [10, 1e30], [regen.OUT_OF_RANGE, None]),
+    # there the model points overflow too, and the disk is told first
+    ("hyperbolic", TINY_FIRST, [10, 1e100], [regen.OUTSIDE_DISK, None]),
+])
+def test_regenerate_trace_drops_each_t_whose_form_leaves_the_float_range(
+        kind, path, t_grid, errors):
+    import warnings
+
+    V = [[0.3, 0.1], [-0.1, 0.3], [-0.3, -0.1], [0.1, -0.3]]
+    got = json.loads(_same_as_reference(kind, path, V, t_grid))
+    assert [s.get("error") for s in got["samples"]] == errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's RuntimeWarning included
+        trace = regen.regenerate_trace(kind, path, Parallelogram(V), t_grid)
+        with pytest.raises(regen.OutsideDomain, match="no valid samples"):
+            regen.regenerate_trace(kind, path, Parallelogram(V),
+                                   [t for t, e in zip(t_grid, errors) if e])
+    assert json.loads(_json(lambda: trace)) == got
