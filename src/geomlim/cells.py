@@ -64,8 +64,18 @@ class Cell:
         return self.n - len(self.blocks)
 
     @property
-    def block_points(self):  # the signs of each block, for flag_signature
+    def block_points(self):  # the signs of each block
         return [[self.signs[i] for i in b] for b in self.blocks]
+
+    def sign_counts(self):
+        """(positives, negatives) of each block's signs, for
+        flag_signature: a block of size m and sign sum s has (m + s) / 2
+        positives."""
+        get, counts = self.signs.__getitem__, []
+        for b in self.blocks:
+            s = sum(map(get, b))
+            counts.append(((len(b) + s) // 2, (len(b) - s) // 2))
+        return counts
 
     def key(self):
         return (self.blocks, self.signs)

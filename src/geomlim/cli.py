@@ -5,7 +5,8 @@ take an operation as their second word.  Exit codes: 0 success, 2
 invalid input (JSON error on stderr), 64 unknown subcommand.
 The library raises a ValueError for input outside its domain; ``run`` is
 the one place that turns it into exit 2, and the one place that writes
-command output.  Handlers return library values as they are, and ``run``
+command output.  Handlers return library values as they are (``cells``
+joins pieces of ``_json`` text, each written once), and ``run``
 renders them with the one JSON writer, ``_json``, which writes the bytes
 of the stdlib's ``json.dumps`` with sorted keys and a 2-space indent (an
 indent the stdlib serves only from its pure-Python encoder), numpy
@@ -253,21 +254,32 @@ def cmd_cells(args):
     n = args.n
     all_cells = cells.enumerate_cells(n)
     if args.poset:
-        index = {c: i for i, c in enumerate(all_cells)}
+        index = {c.key(): i for i, c in enumerate(all_cells)}
+        labels = {b: "{} d{}".format(b, n - len(b))
+                  for b in dict.fromkeys(c.blocks for c in all_cells)}
         return _dot(
-            "cells", "c",
-            ("{} d{}".format(c.blocks, c.dim) for c in all_cells),
+            "cells", "c", (labels[c.blocks] for c in all_cells),
             ((i, j) for i, c in enumerate(all_cells)
-             for j in sorted(index[f] for f in cells.faces(c))))
-    doc = {"counts": cells.closure_cell_counts(n), "cells": []}
+             for j in sorted(index[f.key()] for f in cells.faces(c))))
+    # a cell's JSON: the text of its blocks, class_3d, dim and
+    # flag_signature once per (partition, signature), then of its signs,
+    # the last key; equal tuples of ints share one text
+    pad, inner, heads, items = "\n    ", "\n      ", {}, []
+    text = functools.cache(functools.partial(_json, pad=inner))
     for c in all_cells:
         F = c.signature()
-        item = {"blocks": c.blocks, "signs": c.signs, "dim": c.dim,
-                "flag_signature": F}
-        if n == 3:
-            item["class_3d"] = limits.classify_limit_group_3d(F)
-        doc["cells"].append(item)
-    return doc
+        head = heads.get((c.blocks, F))
+        if head is None:
+            head = ['"blocks": ' + text(c.blocks), '"dim": ' + str(c.dim),
+                    '"flag_signature": ' + text(F), '"signs": ']
+            if n == 3:
+                head.insert(1, '"class_3d": ' + _STR(
+                    limits.classify_limit_group_3d(F)))
+            head = heads[c.blocks, F] = "{" + inner + ("," + inner).join(head)
+        items.append(head + text(c.signs) + pad + "}")
+    return ('{\n  "cells": [' + pad + ("," + pad).join(items) + "\n  ],\n"
+            '  "counts": ' + _json(cells.closure_cell_counts(n), "\n  ")
+            + "\n}\n")
 
 
 def cmd_heis(args):
@@ -278,10 +290,9 @@ def cmd_heis(args):
     r = _read_json(lambda d: heisenberg.HeisRep(d["x"], d["y"], d["z"]),
                    path=args.input)
     if args.op == "classify":
-        tag, sub = heisenberg.classify(r)
+        tag, sub, c = heisenberg.classify_canonical(r)
         out = {"class": tag, "subtype": sub}
-        if tag == "Holonomy":
-            c = heisenberg.teichmuller_coords(r)
+        if c is not None:
             out["canonical"] = {"x": c.x, "y": c.y, "z": c.z}
         return out
     # developing-map sampling

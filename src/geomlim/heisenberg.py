@@ -3,7 +3,18 @@ group, in Lie-algebra coordinates.
 
 A representation is stored as three 2-vectors (x, y, z): the generator
 images have logs [[0, x_i, z_i], [0, 0, y_i], [0, 0, 0]].  The group acts
-on the affine plane by (u, v) -> (u + a v + c, v + b)."""
+on the affine plane by (u, v) -> (u + a v + c, v + b).
+
+Classification and canonical coordinates share one reduction,
+``_reduced``: x and y scaled by a power of two, z at its own scale, and
+w, the part of z off the line of x and y, which conjugation leaves
+fixed.  ``classify`` reads the class off it, ``normalize`` and
+``teichmuller_coords`` scale it to the unit sphere, and
+``classify_canonical`` does both after one commutation test and one
+reduction.  Power-of-two scaling is exact, so it runs on Python floats;
+the dot products stay numpy's."""
+
+import math
 
 import numpy as np
 
@@ -32,7 +43,7 @@ class HeisRep:
         self.y = np.array(y, dtype=float)
         self.z = np.array(z, dtype=float)
         for v in (self.x, self.y, self.z):
-            if v.shape != (2,) or not np.isfinite(v).all():
+            if v.shape != (2,) or not all(map(math.isfinite, v.tolist())):
                 raise ValueError("coordinates must be finite 2-vectors")
 
     def __repr__(self):
@@ -73,10 +84,14 @@ def _scaled_bracket(r):
     entry in [1/2, 1), 2^-a x and 2^-b y, the product of those largest
     entries, and k = -a - b: the bracket is 2^k times that of r, and no
     product overflows.  Scaling each vector on its own keeps a small y
-    from underflowing against a large x or z."""
-    (mx, a), (my, b) = (np.frexp(np.abs(v).max()) for v in (r.x, r.y))
-    x, y = np.ldexp(r.x, -a), np.ldexp(r.y, -b)
-    return x[0] * y[1] - x[1] * y[0], mx * my, -a - b
+    from underflowing against a large x or z.  The scaling is exact, so
+    it runs on Python floats."""
+    (x0, x1), (y0, y1) = r.x.tolist(), r.y.tolist()
+    mx, a = math.frexp(max(abs(x0), abs(x1)))
+    my, b = math.frexp(max(abs(y0), abs(y1)))
+    x0, x1 = math.ldexp(x0, -a), math.ldexp(x1, -a)
+    y0, y1 = math.ldexp(y0, -b), math.ldexp(y1, -b)
+    return x0 * y1 - x1 * y0, mx * my, -a - b
 
 
 def is_representation(r):
@@ -96,33 +111,79 @@ def outer_flip(r):
     return HeisRep(r.x, -r.y, -r.z)
 
 
+def _ldexp(v, e):
+    """v 2^e, or an infinity of v's sign past the float range."""
+    try:
+        return math.ldexp(v, e)
+    except OverflowError:
+        return math.copysign(math.inf, v)
+
+
 def _reduced(r):
-    """(x, y, z, w): x and y scaled by one power of two to a largest
-    entry in [1/2, 1), z scaled alike, and w the part of z off the line
-    of x and y.  Conjugation moves z along that line only (x and y are
+    """(x, y, z, w, s2), pairs of Python floats and a float: x and y
+    scaled by one power of two to a largest entry in [1/2, 1), z scaled
+    alike, w the part of z off the line of x and y, and s2 = ||x||^2 +
+    ||y||^2.  Conjugation moves z along that line only (x and y are
     parallel), so every conjugate of r has the w of r.  Scaling x, y and
     z each on its own keeps the products from overflowing or
-    underflowing; a z or w past the float range is inf."""
-    k = np.frexp(max(np.abs(r.x).max(), np.abs(r.y).max()))[1]
+    underflowing; a z or w past the float range is inf.  The scaling is
+    exact and runs on floats; the dot products are numpy's, whose
+    rounding (a fused multiply-add) plain float arithmetic does not
+    repeat."""
+    (x0, x1), (y0, y1), (z0, z1) = r.x.tolist(), r.y.tolist(), r.z.tolist()
+    m = max(abs(x0), abs(x1), abs(y0), abs(y1))
+    k = math.frexp(m)[1]
     x, y = np.ldexp(r.x, -k), np.ldexp(r.y, -k)
-    d = y if y @ y >= x @ x else x
-    j = np.frexp(np.abs(r.z).max())[1]
-    z = w = np.ldexp(r.z, -j)
-    if d.any():
-        w = z - (z @ d) / (d @ d) * d
-    with np.errstate(over="ignore"):
-        return x, y, np.ldexp(z, j - k), np.ldexp(w, j - k)
+    xx, yy = float(x @ x), float(y @ y)
+    j = math.frexp(max(abs(z0), abs(z1)))[1]
+    z = np.ldexp(r.z, -j)
+    w0, w1 = z0, z1 = z.tolist()
+    if m:  # d, the longer of x and y, is zero only when both are
+        d, dd = (y, yy) if yy >= xx else (x, xx)
+        c = float(z @ d) / dd
+        d0, d1 = d.tolist()
+        w0, w1 = z0 - c * d0, z1 - c * d1
+    e = j - k
+    return (x.tolist(), y.tolist(), (_ldexp(z0, e), _ldexp(z1, e)),
+            (_ldexp(w0, e), _ldexp(w1, e)), xx + yy)
+
+
+def _unit(red, canonical=False):
+    """The rep of a reduction scaled to ||x||^2 + ||y||^2 = 1, z replaced
+    by w; with canonical, flipped by outer_flip when the new y is
+    lexicographically negative."""
+    (x0, x1), (y0, y1), _, (w0, w1), s2 = red
+    if s2 == 0:
+        raise CentralRep("central representation has no normalization")
+    s = 1.0 / math.sqrt(s2)
+    y0, y1, w0, w1 = s * y0, s * y1, s * w0, s * w1
+    if canonical and (y0 < 0 or (y0 == 0 and y1 < 0)):
+        y0, y1, w0, w1 = -y0, -y1, -w0, -w1
+    return HeisRep([s * x0, s * x1], [y0, y1], [w0, w1])
 
 
 def normalize(r):
     """Scale to unit ||x||^2 + ||y||^2 = 1 and conjugate the z-part
     perpendicular to the (parallel) x and y directions."""
-    x, y, _, w = _reduced(r)
-    s2 = x @ x + y @ y
-    if s2 == 0:
-        raise CentralRep("central representation has no normalization")
-    s = 1.0 / np.sqrt(s2)
-    return HeisRep(s * x, s * y, s * w)
+    return _unit(_reduced(r))
+
+
+def _classified(r):
+    """classify(r) and the reduction it was read from."""
+    if not is_representation(r):
+        raise NotARepresentation("generators do not commute")
+    red = _reduced(r)
+    x, y, z, w = (max(abs(a), abs(b)) for a, b in red[:4])
+    sc = max(x, y, w)
+    if x <= 1e-12 * sc and y <= 1e-12 * sc:
+        return "Central", None, red
+    if w <= 1e-10 * max(x, y, z):
+        return "NotFaithful", None, red
+    if y <= 1e-12 * sc:
+        return "FaithfulNotFree", None, red
+    if x <= 1e-12 * sc:
+        return "Holonomy", "Translation", red
+    return "Holonomy", "Shear", red
 
 
 def classify(r):
@@ -139,19 +200,16 @@ def classify(r):
     g y and h x cancel to about 1e-5 of their size, and a faithful rep
     keeps its class while |g y - h x| stays below about 1e10 |w|.  c r
     has the class of r."""
-    if not is_representation(r):
-        raise NotARepresentation("generators do not commute")
-    x, y, z, w = (np.abs(v).max() for v in _reduced(r))
-    sc = max(x, y, w)
-    if x <= 1e-12 * sc and y <= 1e-12 * sc:
-        return ("Central", None)
-    if w <= 1e-10 * max(x, y, z):
-        return ("NotFaithful", None)
-    if y <= 1e-12 * sc:
-        return ("FaithfulNotFree", None)
-    if x <= 1e-12 * sc:
-        return ("Holonomy", "Translation")
-    return ("Holonomy", "Shear")
+    tag, sub, _ = _classified(r)
+    return (tag, sub)
+
+
+def classify_canonical(r):
+    """(class, subtype, canonical): classify(r) and, for a holonomy,
+    teichmuller_coords(r), else None, from one commutation test and one
+    reduction."""
+    tag, sub, red = _classified(r)
+    return tag, sub, _unit(red, True) if tag == "Holonomy" else None
 
 
 def developing_map(r, u, v):
@@ -179,11 +237,7 @@ def developing_map(r, u, v):
 def teichmuller_coords(r):
     """Canonical representative: normalize, then use the outer flip to
     make the y-vector lexicographically non-negative."""
-    tag, _ = classify(r)
+    tag, _, red = _classified(r)
     if tag != "Holonomy":
         raise NotHolonomy("canonical coordinates need a holonomy rep")
-    r = normalize(r)
-    y = r.y
-    if y[0] < 0 or (y[0] == 0 and y[1] < 0):
-        r = outer_flip(r)
-    return r
+    return _unit(red, True)

@@ -63,6 +63,8 @@ class MonomialDiagonal:
             raise ValueError("path coefficients must be finite")
         if len(self.entries) < 2:
             raise ValueError("need at least two diagonal entries")
+        # evaluate's terms, each exponent converted to float once
+        self._terms = [(c, float(e)) for c, e in self.entries]
 
     @property
     def n(self):
@@ -78,7 +80,7 @@ class MonomialDiagonal:
             raise ValueError(
                 "t must be finite and positive, got {!r}".format(t))
         try:
-            D = np.array([c * t ** float(e) for c, e in self.entries])
+            D = np.array([c * t ** e for c, e in self._terms])
             if np.all(np.isfinite(D) & (D != 0)):
                 return D
         except OverflowError:
@@ -205,6 +207,14 @@ class OrderedPartition:
     @property
     def n(self):
         return sum(len(b) for b in self.blocks)
+
+    def sign_counts(self):
+        """(positives, negatives) of each block's point."""
+        counts = []
+        for pt in self.block_points:
+            p = sum(map((0.0).__lt__, pt))  # the entries are floats
+            counts.append((p, len(pt) - p))
+        return counts
 
     def __eq__(self, other):
         if not isinstance(other, OrderedPartition):
@@ -541,11 +551,11 @@ def encode_partition(P):
 
 def flag_signature(P):
     """Sign counts (positives, negatives) of each block's canonical point,
-    every pair after the first ordered as FlagSignature orders it."""
+    every pair after the first ordered as FlagSignature orders it.  P is
+    an OrderedPartition or a cells.Cell, whose sign_counts() gives the
+    counts."""
     pairs = []
-    for pt in P.block_points:
-        p = sum(v > 0 for v in pt)
-        q = len(pt) - p
+    for p, q in P.sign_counts():
         pairs.append((p, q) if p >= q or not pairs else (q, p))
     return FlagSignature._wrap(pairs)
 

@@ -1,7 +1,11 @@
+import io
+import json
+
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
+import heis_reference as ref
 from geomlim import heisenberg as heis
 from geomlim.heisenberg import HeisRep
 
@@ -288,3 +292,125 @@ def test_classes_ignore_scale(klass, theta, rho, a, b, e, f, c):
     assert heis.classify(HeisRep(zero, zero, zero)) == ("Central", None)
     # x across y: the bracket is a b rho^2 c^2, far from zero at every scale
     assert not heis.is_representation(HeisRep(c * a * d, c * b * perp, r.z))
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _hex(r):
+    """The bytes of a rep's coordinates, or r itself when it is no rep."""
+    return r if not isinstance(r, HeisRep) else (
+        r.x.tobytes(), r.y.tobytes(), r.z.tobytes())
+
+
+@given(klass=st.sampled_from(sorted(CLASSES) + ["NotCommuting"]),
+       theta=st.floats(min_value=0.0, max_value=2 * np.pi),
+       rho=st.floats(min_value=0.1, max_value=10.0), a=nonzero, b=nonzero,
+       e=st.floats(min_value=-3.0, max_value=3.0), f=nonzero,
+       k=st.integers(min_value=-1074, max_value=1023),
+       g=st.sampled_from([0.0, 1.0, -1e4, 1e8, -1e8]),
+       h=st.sampled_from([0.0, 1.0, 1e6, -1e8]),
+       zero=st.sampled_from([None, "x", "y"]))
+@example(klass="Shear", theta=0.0, rho=1.0, a=1.0, b=-1.0, e=0.0, f=1.0,
+         k=-1074, g=0.0, h=0.0, zero=None)
+@example(klass="Shear", theta=0.5, rho=1.0, a=1.0, b=1.0, e=0.0, f=1.0,
+         k=990, g=1e8, h=-1e8, zero="x")
+def test_one_pass_matches_two_passes(klass, theta, rho, a, b, e, f, k, g, h,
+                                     zero):
+    # classify_canonical is classify and teichmuller_coords of the code
+    # that tested commutation and reduced once in each, byte for byte:
+    # reps of every class, conjugated by large elements, scaled by powers
+    # of two down to the subnormals and up to near overflow
+    if klass == "NotCommuting":
+        r = class_rep("Shear", theta, rho, a, b, e, f)
+        r = HeisRep(r.x, r.y + [-r.y[1], r.y[0]], r.z)
+    else:
+        r = class_rep(klass, theta, rho, a, b, e, f)
+    r = heis.conjugate_rep(r, g, h)
+    if zero:
+        setattr(r, zero, np.zeros(2))
+    with np.errstate(over="ignore"):
+        v = np.ldexp([r.x, r.y, r.z], k)
+    assume(np.isfinite(v).all())
+    r = HeisRep(*v)
+    want = _outcome(ref.classify, r)
+    got = _outcome(heis.classify_canonical, r)
+    assert _outcome(heis.classify, r) == want
+    if not isinstance(want, tuple) or isinstance(want[0], type):
+        assert got == want
+        return
+    assert got[:2] == want
+    coords = _outcome(ref.teichmuller_coords, r)
+    if want[0] != "Holonomy":
+        assert got[2] is None
+        assert _outcome(heis.teichmuller_coords, r) == coords
+        return
+    assert _hex(got[2]) == _hex(coords)
+    assert _hex(_outcome(heis.teichmuller_coords, r)) == _hex(coords)
+    assert _hex(_outcome(heis.normalize, r)) \
+        == _hex(_outcome(ref.normalize, r))
+
+
+@pytest.mark.parametrize("x, y, z", [
+    ([0, 0], [5e-324, -1e-323], [1e-322, 3e-322]),  # subnormal
+    ([1e300, -1e300], [-1.5e300, 1.5e300], [1e308, 1.7e308]),
+    ([0, -0.0], [-0.0, -2.0], [1, 0]),  # flipped, signed zeros
+    ([3e-320, 0], [-1e-320, 0], [5e-320, 1e-315]),
+])
+def test_one_pass_at_the_ends_of_the_float_range(x, y, z):
+    r = HeisRep(x, y, z)
+    tag, sub, c = heis.classify_canonical(r)
+    assert tag == "Holonomy" and (tag, sub) == ref.classify(r)
+    assert _hex(c) == _hex(ref.teichmuller_coords(r)) \
+        == _hex(heis.teichmuller_coords(r))
+
+
+def test_classify_command_tests_commutation_and_reduces_once(monkeypatch):
+    # heis classify on a holonomy reads its class and canonical rep off
+    # one commutation test and one reduction
+    from geomlim import cli
+
+    calls = []
+    for name in ("is_representation", "_reduced"):
+        f = getattr(heis, name)
+        monkeypatch.setattr(heis, name, lambda r, f=f, name=name: (
+            calls.append(name) or f(r)))
+    doc = '{"x": [1, 2], "y": [-0.5, -1], "z": [3, 1]}'
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    out = io.StringIO()
+    monkeypatch.setattr("sys.stdout", out)
+    assert cli.run(["heis", "classify", "--input", "-"]) == 0
+    assert json.loads(out.getvalue())["class"] == "Holonomy"
+    assert calls == ["is_representation", "_reduced"]
+
+
+def _floats(*values):
+    """Floats as their hex text, so -0.0 and 0.0 differ."""
+    return [float(v).hex() for v in values]
+
+
+# magnitudes from the subnormals to the top of the float range
+MAGNITUDES = [5e-324, 3e-320, 2.0 ** -1022, 1e-300, 1.0, 1e300,
+              2.0 ** 1023, 1.7e308]
+
+
+@pytest.mark.parametrize("m", MAGNITUDES)
+def test_float_scaling_matches_numpy(m):
+    # _scaled_bracket and classify scale by powers of two on Python
+    # floats; the numpy reference gives the same bits at every magnitude
+    gen = np.random.default_rng(31)
+    for _ in range(200):
+        x, y, z = (gen.uniform(-1.0, 1.0, 2) * gen.choice([m, 1.0, 0.0], 2)
+                   for _ in range(3))
+        for r in (HeisRep(x, y, z), HeisRep(x, 0.5 * x, z),
+                  HeisRep(x, -x, 0.25 * x), HeisRep([0, 0], y, z)):
+            b, size, k = heis._scaled_bracket(r)
+            rb, rsize, rk = ref.scaled_bracket(r)
+            assert _floats(b, size) == _floats(rb, rsize) and k == rk
+            assert _outcome(heis.classify, r) == _outcome(ref.classify, r)
+            assert heis.is_representation(r) == ref.is_representation(r)
