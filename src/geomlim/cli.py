@@ -16,8 +16,9 @@ one DOT writer, ``_dot``, and the one CSV writer, ``_csv``.
 numpy, ``fractions`` and the library modules are imported by the
 functions that use them, so ``poset``, ``cells`` and ``algebra`` run
 without loading numpy, and ``algebra`` without ``fractions``.  A
-command line is parsed by the parser of its row of ``COMMANDS`` alone,
-which refuses an option the operation does not read; the help of
+command line is parsed by a new parser of its own, which takes the
+arguments of its row of ``COMMANDS`` from the row's one cached parent
+parser and refuses an option the operation does not read; the help of
 ``geomlim``, ``geomlim heis`` and ``geomlim algebra`` is a parser with
 one positional argument that lists the choices.
 """
@@ -31,8 +32,8 @@ import re
 import sys
 
 _TERM = re.compile(
-    r"^\s*(?:(?P<coeff>[+-]?\d+(?:\.\d+)?)\s*\*?\s*)?"
-    r"(?:t(?:\^(?P<exp>[+-]?\d+(?:/\d*[1-9]\d*)?))?)?\s*$")
+    r"^\s*(?:(?P<coeff>[+-]?\d+(?:\.\d+)?)\s*(?:\*\s*(?=t))?)?"
+    r"(?P<t>t(?:\^(?P<exp>[+-]?\d+(?:/\d*[1-9]\d*)?))?)?\s*$")
 
 
 class InvalidInput(ValueError):
@@ -47,8 +48,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_monomial_path(text):
-    """Parse 'c*t^e' terms, comma separated; coefficients default to 1,
-    exponents are rational p/q."""
+    """Parse 'c*t^e' terms, comma separated, with a '*' only before a t;
+    coefficients default to 1, exponents are rational p/q."""
     from fractions import Fraction
 
     from . import limits
@@ -56,14 +57,10 @@ def parse_monomial_path(text):
     entries = []
     for term in text.split(","):
         mt = _TERM.match(term)
-        if not mt or (mt.group("coeff") is None and "t" not in term):
+        if not mt or not (mt["coeff"] or mt["t"]):
             raise InvalidInput("cannot parse path term {!r}".format(term))
-        coeff = float(mt.group("coeff")) if mt.group("coeff") else 1.0
-        if "t" in term:
-            exp = Fraction(mt.group("exp")) if mt.group("exp") else Fraction(1)
-        else:
-            exp = Fraction(0)
-        entries.append((coeff, exp))
+        entries.append((float(mt["coeff"] or 1),
+                        Fraction(mt["exp"] or (1 if mt["t"] else 0))))
     if len(entries) < 2:
         raise InvalidInput("need at least two path entries")
     return limits.MonomialDiagonal(entries)
@@ -106,6 +103,17 @@ def _read_json(build, text=None, path=None):
         return build(json.loads(text))
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise InvalidInput("bad input: {}".format(exc)) from None
+
+
+def _numbers(values, message):
+    """Raise a TypeError with message unless each of values is a JSON
+    number.  The library reads a numeric string or a boolean as a float,
+    and Python's bool is an int, so a builder checks its document's
+    numbers after the library has taken them: a value the library refuses
+    keeps the library's message."""
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in values):
+        raise TypeError(message)
 
 
 def _tolist(value):
@@ -282,13 +290,21 @@ def cmd_cells(args):
             + "\n}\n")
 
 
+def _heis_rep(doc):
+    from . import heisenberg
+
+    x, y, z = doc["x"], doc["y"], doc["z"]
+    rep = heisenberg.HeisRep(x, y, z)
+    _numbers([*x, *y, *z], "x, y and z must be lists of numbers")
+    return rep
+
+
 def cmd_heis(args):
     import numpy as np
 
     from . import heisenberg
 
-    r = _read_json(lambda d: heisenberg.HeisRep(d["x"], d["y"], d["z"]),
-                   path=args.input)
+    r = _read_json(_heis_rep, path=args.input)
     if args.op == "classify":
         tag, sub, c = heisenberg.classify_canonical(r)
         out = {"class": tag, "subtype": sub}
@@ -327,12 +343,12 @@ def _regen_job(doc):
     kind, D_path, t_grid = doc["kind"], doc["D_path"], doc.get("t_grid")
     if not (isinstance(kind, str) and isinstance(D_path, str)):
         raise TypeError("kind and D_path must be strings")
-    if t_grid is not None and not all(
-            isinstance(t, (int, float)) and not isinstance(t, bool)
-            for t in t_grid):
-        raise TypeError("t_grid must be a list of numbers")
-    return (kind, parse_monomial_path(D_path),
-            regeneration.Parallelogram(doc["vertices"]), t_grid)
+    if t_grid is not None:
+        _numbers(t_grid, "t_grid must be a list of numbers")
+    D_path, V = parse_monomial_path(D_path), doc["vertices"]
+    Q = regeneration.Parallelogram(V)
+    _numbers(itertools.chain(*V), "vertices must be pairs of numbers")
+    return kind, D_path, Q, t_grid
 
 
 def cmd_regen(args):
@@ -348,9 +364,8 @@ def cmd_regen(args):
     trace = regeneration.regenerate_trace(kind, D_path, Q, t_grid)
     if args.format == "json":
         return trace
-    head = ["t"] + ["A{}{}".format(i, j) for i in range(3) for j in range(3)] \
-        + ["B{}{}".format(i, j) for i in range(3) for j in range(3)] \
-        + ["commutator_residual", "form_residual"]
+    head = ["t", *(m + i + j for m in "AB" for i in "012" for j in "012"),
+            "commutator_residual", "form_residual"]
     return _csv(head, (
         (float(s["t"]), *s["A"].ravel().tolist(), *s["B"].ravel().tolist(),
          s["commutator_residual"], s["form_residual"])
@@ -360,7 +375,10 @@ def cmd_regen(args):
 def _scalar(doc):
     from . import algebra
 
-    return algebra.AlgScalar(doc["re"], doc.get("im", 0.0), doc["delta"])
+    re, im, delta = doc["re"], doc.get("im", 0.0), doc["delta"]
+    x = algebra.AlgScalar(re, im, delta)
+    _numbers((re, im, delta), "re, im and delta must be numbers")
+    return x
 
 
 def _scalar_json(x):
@@ -375,11 +393,9 @@ def cmd_algebra(args):
     x = _read_json(_scalar, text=args.a)
     if args.op == "mul":
         return _scalar_json(algebra.mul(x, _read_json(_scalar, text=args.b)))
-    if args.op == "conj":
-        return _scalar_json(algebra.conj(x))
     if args.op == "norm":
         return algebra.norm(x)
-    return _scalar_json(algebra.inv(x))
+    return _scalar_json(getattr(algebra, args.op)(x))  # conj or inv
 
 
 # The arguments every operation takes first.  Each row of COMMANDS is an
@@ -415,13 +431,13 @@ COMMANDS = {
 
 
 @functools.cache
-def _common_parser():
-    """-h and COMMON_ARGUMENTS as the parent parser of every operation's
-    parser, which takes them without add_argument's per-option checks.
-    It is built on first use, not at import: a process's first argparse
-    parser imports ``locale``, about 2 ms."""
+def _parent(words):
+    """-h, COMMON_ARGUMENTS and the arguments of the row ``words`` names:
+    the parent of each parser of the row, built on first use, not at
+    import, since a process's first argparse parser imports ``locale``."""
     parser = argparse.ArgumentParser()
-    for flag, options in COMMON_ARGUMENTS:
+    row = functools.reduce(dict.__getitem__, words, COMMANDS)
+    for flag, options in COMMON_ARGUMENTS + row[2]:
         parser.add_argument(flag, **options)
     return parser
 
@@ -445,23 +461,18 @@ def parse_args(argv):
             raise InvalidInput("the operation must come second")
         words.append(rest[0])
         row = row[rest[0]]
-    handler, formats, arguments = row
     parser = _Parser(prog=" ".join(["geomlim", *words]),
-                     parents=[_common_parser()], add_help=False)
-    for flag, options in arguments:
-        parser.add_argument(flag, **options)
+                     parents=[_parent(tuple(words))], add_help=False)
     args = parser.parse_args(argv[len(words):])
     args.cmd, args.op = words[0], words[-1]
-    return handler, formats, args
+    return *row[:2], args
 
 
 def run(argv):
-    if not argv:
-        sys.stderr.write(json.dumps({"error": "missing subcommand"}) + "\n")
-        return 64
-    if argv[0] not in (*COMMANDS, "-h", "--help"):
-        sys.stderr.write(json.dumps(
-            {"error": "unknown subcommand {!r}".format(argv[0])}) + "\n")
+    if not argv or argv[0] not in (*COMMANDS, "-h", "--help"):
+        error = "unknown subcommand {!r}".format(argv[0]) if argv \
+            else "missing subcommand"
+        sys.stderr.write(json.dumps({"error": error}) + "\n")
         return 64
     try:
         handler, formats, args = parse_args(argv)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -40,6 +41,12 @@ def test_monomial_parser():
         cli.parse_monomial_path("t^x,1")
     with pytest.raises(cli.InvalidInput):
         cli.parse_monomial_path("5")
+    # a "*" stands only before a t, with or without spaces
+    for text in ["2 * t,t,1", "2t,t,1", "2*t,t,1"]:
+        assert cli.parse_monomial_path(text).entries[0] == (2.0, Fraction(1))
+    for text in ["2*,t", "t,2 *", "*t,1", "t*,1"]:
+        with pytest.raises(cli.InvalidInput):
+            cli.parse_monomial_path(text)
 
 
 def test_grid_parser():
@@ -159,6 +166,16 @@ INVALID_ARGVS = [
     # no t at which the form stays within the float range
     ["regen", "--input", dict(WIDE_JOB, t_grid=[1e100])],
     ["regen", "--format", "json", "--input", dict(WIDE_JOB, t_grid=[1e100])],
+    # a dangling "*" is not a constant term
+    ["limit", "--path", "2*,t"],
+    # a JSON string or boolean is not a number, though the library would
+    # read it as a float
+    ["algebra", "norm", "--a", '{"re":"3","delta":"1"}'],
+    ["heis", "classify", "--input",
+     {"x": ["1", 2], "y": [0.5, 1], "z": [3, 1]}],
+    ["regen", "--input",
+     dict(JOB, vertices=[[0.1, False], [False, 0.1], [-0.1, False],
+                         [False, -0.1]], t_grid=[10, 100, 1000])],
 ]
 
 
@@ -585,7 +602,8 @@ def test_combinatorics_output_unchanged(capsys, argv, digest):
 # heis dev digests: before the CSV output moved to a shared writer, the
 # SVG one with a --grid it never read; the heis and algebra help: when it
 # became the list of their operations, each of which has a help page of
-# its own).  argparse lays out help
+# its own; the operations' own pages: before each operation's arguments
+# moved to a cached parent parser).  argparse lays out help
 # differently across Python versions (and by COLUMNS); the help digests
 # are those of Python 3.11 at 80 columns.
 README_REP = '{"x":[0,0],"y":[1,0],"z":[0,1]}'
@@ -604,6 +622,24 @@ HELP_DIGESTS = [
      "b37c5f39eb821ad56df9a6a9198b2796ab0f7a76026188e316d642c5b3f63e00"),
     (["algebra", "--help"],
      "5e07ac4b5228700df8bc5f19af933cb2ff5a57978b96cf7cd4ba373bb7b2edb8"),
+]
+# each operation's own page; parametrized after README_DIGESTS, so that
+# the cases before keep their ids
+OPERATION_HELP_DIGESTS = [
+    (["heis", "classify", "-h"],
+     "cefb568e53555a46f57defa3d4fd47d479dd9ceef82869bfc587584e512cab0d"),
+    (["heis", "dev", "-h"],
+     "7e084bb5964dc61d703c74d461caf6740c9cc8abcecdb5b89ddb9b98906a7922"),
+    (["algebra", "mul", "-h"],
+     "8b7e0d12a124c765b9dddb2f638fa9d7a1f380ea88ee2ed38495fff6f543e0ce"),
+    (["algebra", "conj", "-h"],
+     "774db1ea90c0934f50ffe04d86f50e430c1007f49c00d241d3e253dbc56c5bb4"),
+    (["algebra", "norm", "-h"],
+     "1328b41cb0cf7b1fe363d950b6ede17b63144abfa9c04c7fd0f1356884a14cc1"),
+    (["algebra", "inv", "-h"],
+     "165fb8c759054bf382b31cb69cdd09b19854ec11a4697cfc5114a7a24b8408f1"),
+    (["algebra", "idempotents", "-h"],
+     "183add88d52bbe507ac176b3878ec1782036b5fc7bf5a0696d56ce97d66fed66"),
 ]
 README_DIGESTS = [
     (["limit", "--form", "1,1,1", "--conj", "t^2,t,1"], "",
@@ -630,6 +666,8 @@ PY311 = pytest.mark.skipif(sys.version_info[:2] != (3, 11),
     *(pytest.param(argv, "", digest, marks=PY311)
       for argv, digest in HELP_DIGESTS),
     *README_DIGESTS,
+    *(pytest.param(argv, "", digest, marks=PY311)
+      for argv, digest in OPERATION_HELP_DIGESTS),
 ])
 def test_help_and_readme_output_unchanged(capsys, monkeypatch, argv, stdin,
                                           digest):
@@ -869,3 +907,43 @@ def test_run_builds_one_parser(capsys, monkeypatch, argv, code):
     prog = {"-h": "geomlim", "--help": "geomlim",
             "algebra": "geomlim algebra mul"}.get(argv[0])
     assert progs == [prog or "geomlim " + argv[0]]
+
+
+def test_cached_parents_share_no_state_across_calls(capsys, monkeypatch):
+    # a line refused after parsing leaves its --reverse in no later
+    # namespace, and a repeated line builds only its own parser and adds
+    # no argument to it: its operation's parent parser, which holds the
+    # arguments, is built once per process
+    assert run(capsys, "limit", "--path", "t^2,t,1", "--reverse")[0] == 2
+    argv, _, digest = README_DIGESTS[0]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    built, added = [], []
+    init = argparse.ArgumentParser.__init__
+    add = argparse.ArgumentParser.add_argument
+
+    def spy_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(type(self))
+
+    def spy_add(self, *args, **kwargs):
+        added.append(args)
+        return add(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy_add)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert built == [cli._Parser] and added == []
+
+
+def test_library_refusal_keeps_its_message(capsys):
+    # the number check runs after the library has read the document, so
+    # a value the library cannot read keeps the library's own message
+    code, _, err = run(capsys, "algebra", "conj",
+                       "--a", '{"re": "x", "delta": 0}')
+    assert code == 2
+    assert json.loads(err) == {
+        "error": "could not convert string to float: 'x'"}
