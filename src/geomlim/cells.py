@@ -63,10 +63,6 @@ class Cell:
     def dim(self):
         return self.n - len(self.blocks)
 
-    @property
-    def block_points(self):  # the signs of each block
-        return [[self.signs[i] for i in b] for b in self.blocks]
-
     def sign_counts(self):
         """(positives, negatives) of each block's signs, for
         flag_signature: a block of size m and sign sum s has (m + s) / 2

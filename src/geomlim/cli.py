@@ -16,11 +16,10 @@ one DOT writer, ``_dot``, and the one CSV writer, ``_csv``.
 numpy, ``fractions`` and the library modules are imported by the
 functions that use them, so ``poset``, ``cells`` and ``algebra`` run
 without loading numpy, and ``algebra`` without ``fractions``.  A
-command line is parsed by a new parser of its own, which takes the
-arguments of its row of ``COMMANDS`` from the row's one cached parent
-parser and refuses an option the operation does not read; the help of
-``geomlim``, ``geomlim heis`` and ``geomlim algebra`` is a parser with
-one positional argument that lists the choices.
+command line is parsed by the one parser of its row of ``COMMANDS``,
+kept for the process, which refuses an option the operation does not
+read; the help of ``geomlim``, ``geomlim heis`` and ``geomlim algebra``
+is a parser with one positional argument that lists the choices.
 """
 
 import argparse
@@ -33,7 +32,7 @@ import sys
 
 _TERM = re.compile(
     r"^\s*(?:(?P<coeff>[+-]?\d+(?:\.\d+)?)\s*(?:\*\s*(?=t))?)?"
-    r"(?P<t>t(?:\^(?P<exp>[+-]?\d+(?:/\d*[1-9]\d*)?))?)?\s*$")
+    r"(?P<t>t(?:\^(?P<exp>[+-]?\d+(?:/\d*[1-9]\d*)?))?)?\s*$", re.ASCII)
 
 
 class InvalidInput(ValueError):
@@ -66,6 +65,18 @@ def parse_monomial_path(text):
     return limits.MonomialDiagonal(entries)
 
 
+def _plain(kind):
+    """kind (int or float) of a command-line number; text holding a "_" or
+    a non-ASCII character, which int() and float() also read, is refused."""
+    def read(text):
+        if "_" in text or not text.isascii():
+            raise ValueError("not a plain number: {!r}".format(text))
+        return kind(text)
+    read.__name__ = kind.__name__  # which argparse's refusal names
+    return read
+
+
+_INT, _FLOAT = _plain(int), _plain(float)
 # parse_grid's cap on the point count; heis dev evaluates n^2 points
 MAX_GRID_POINTS = 1001
 
@@ -75,7 +86,7 @@ def parse_grid(text, log=False):
 
     try:
         a, b, n = text.split(":")
-        a, b, n = float(a), float(b), int(n)
+        a, b, n = _FLOAT(a), _FLOAT(b), _INT(n)
     except ValueError:
         raise InvalidInput("grid must be 'a:b:n'") from None
     if n < 1 or not np.isfinite([a, b]).all():
@@ -217,7 +228,7 @@ def cmd_limit(args):
     elif not args.form:
         raise InvalidInput("need --form (with optional --conj) or --path")
     else:
-        J = [float(v) for v in args.form.split(",")]
+        J = [_FLOAT(v) for v in args.form.split(",")]
         if args.conj:
             C = parse_monomial_path(args.conj)
             if args.reverse:
@@ -410,8 +421,8 @@ COMMANDS = {
                        "help": "re-parameterize the conjugator by t -> 1/t"}),
     ]),
     "poset": (cmd_poset, ("json", "dot"),
-              [("p", {"type": int}), ("q", {"type": int})]),
-    "cells": (cmd_cells, ("json",), [("n", {"type": int}),
+              [("p", {"type": _INT}), ("q", {"type": _INT})]),
+    "cells": (cmd_cells, ("json",), [("n", {"type": _INT}),
                                      ("--poset", {"action": "store_true"})]),
     "heis": {
         "classify": (cmd_heis, ("json",), [("--input", {})]),
@@ -425,17 +436,17 @@ COMMANDS = {
         "norm": (cmd_algebra, ("json",), [("--a", {"required": True})]),
         "inv": (cmd_algebra, ("json",), [("--a", {"required": True})]),
         "idempotents": (cmd_algebra, ("json",),
-                        [("--delta", {"type": float, "required": True})]),
+                        [("--delta", {"type": _FLOAT, "required": True})]),
     },
 }
 
 
 @functools.cache
-def _parent(words):
-    """-h, COMMON_ARGUMENTS and the arguments of the row ``words`` names:
-    the parent of each parser of the row, built on first use, not at
+def _parser(words):
+    """The one parser "geomlim <words>" of the row ``words`` names: -h,
+    COMMON_ARGUMENTS and the row's arguments.  Built on first use, not at
     import, since a process's first argparse parser imports ``locale``."""
-    parser = argparse.ArgumentParser()
+    parser = _Parser(prog=" ".join(["geomlim", *words]))
     row = functools.reduce(dict.__getitem__, words, COMMANDS)
     for flag, options in COMMON_ARGUMENTS + row[2]:
         parser.add_argument(flag, **options)
@@ -461,9 +472,7 @@ def parse_args(argv):
             raise InvalidInput("the operation must come second")
         words.append(rest[0])
         row = row[rest[0]]
-    parser = _Parser(prog=" ".join(["geomlim", *words]),
-                     parents=[_parent(tuple(words))], add_help=False)
-    args = parser.parse_args(argv[len(words):])
+    args = _parser(tuple(words)).parse_args(argv[len(words):])
     args.cmd, args.op = words[0], words[-1]
     return *row[:2], args
 

@@ -44,7 +44,8 @@ def test_monomial_parser():
     # a "*" stands only before a t, with or without spaces
     for text in ["2 * t,t,1", "2t,t,1", "2*t,t,1"]:
         assert cli.parse_monomial_path(text).entries[0] == (2.0, Fraction(1))
-    for text in ["2*,t", "t,2 *", "*t,1", "t*,1"]:
+    # and its numbers are of ASCII digits
+    for text in ["2*,t", "t,2 *", "*t,1", "t*,1", "\u0663*t,1", "t^\u0663,1"]:
         with pytest.raises(cli.InvalidInput):
             cli.parse_monomial_path(text)
 
@@ -176,6 +177,12 @@ INVALID_ARGVS = [
     ["regen", "--input",
      dict(JOB, vertices=[[0.1, False], [False, 0.1], [-0.1, False],
                          [False, -0.1]], t_grid=[10, 100, 1000])],
+    # a number on the command line is plain ASCII, though Python's int()
+    # and float() read 1_0 as 10 and the digits of other scripts
+    ["limit", "--form", "1,1_0,1"],
+    ["poset", "1", "\u0663"],
+    ["algebra", "idempotents", "--delta", "1_0"],
+    ["heis", "dev", "--grid", "0:1:0_3", "--input", REP],
 ]
 
 
@@ -893,8 +900,9 @@ def test_run_fuzz(tmp_path):
     (["heis", "-h"], 0),
 ])
 def test_run_builds_one_parser(capsys, monkeypatch, argv, code):
-    # the parser of the subcommand or operation the line names, or for a
-    # help page the one parser listing the subcommands or operations
+    # the first line of a subcommand or operation builds its parser, and
+    # the same line again builds none; a help page of the subcommands or
+    # operations builds the one parser listing them each time
     progs = []
     init = cli._Parser.__init__
 
@@ -903,17 +911,20 @@ def test_run_builds_one_parser(capsys, monkeypatch, argv, code):
         progs.append(self.prog)
 
     monkeypatch.setattr(cli._Parser, "__init__", spy)
+    cli._parser.cache_clear()
+    assert run(capsys, *argv)[0] == code
     assert run(capsys, *argv)[0] == code
     prog = {"-h": "geomlim", "--help": "geomlim",
             "algebra": "geomlim algebra mul"}.get(argv[0])
-    assert progs == [prog or "geomlim " + argv[0]]
+    prog = prog or "geomlim " + argv[0]
+    menu = prog in ("geomlim", "geomlim heis")
+    assert progs == [prog] * (2 if menu else 1)
 
 
-def test_cached_parents_share_no_state_across_calls(capsys, monkeypatch):
+def test_cached_parsers_share_no_state_across_calls(capsys, monkeypatch):
     # a line refused after parsing leaves its --reverse in no later
-    # namespace, and a repeated line builds only its own parser and adds
-    # no argument to it: its operation's parent parser, which holds the
-    # arguments, is built once per process
+    # namespace, and a repeated line builds no parser and adds no
+    # argument: its operation's parser is built once per process
     assert run(capsys, "limit", "--path", "t^2,t,1", "--reverse")[0] == 2
     argv, _, digest = README_DIGESTS[0]
     code, out, _ = run(capsys, *argv)
@@ -936,7 +947,30 @@ def test_cached_parents_share_no_state_across_calls(capsys, monkeypatch):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
-    assert built == [cli._Parser] and added == []
+    assert built == [] and added == []
+
+
+def test_cached_parser_prints_help_between_lines(capsys, monkeypatch):
+    # a row's parser prints its help (and exits through SystemExit) after
+    # a line and parses a line after its help, and lays the help out at
+    # the COLUMNS of each call
+    def output(*argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        return out
+
+    monkeypatch.setenv("COLUMNS", "80")
+    cli._parser.cache_clear()
+    fresh = output("limit", "-h")
+    cli._parser.cache_clear()
+    argv, _, digest = README_DIGESTS[0]
+    assert hashlib.sha256(output(*argv).encode()).hexdigest() == digest
+    assert output("limit", "-h") == fresh
+    assert hashlib.sha256(output(*argv).encode()).hexdigest() == digest
+    monkeypatch.setenv("COLUMNS", "40")
+    assert output("limit", "-h") != fresh
+    monkeypatch.setenv("COLUMNS", "80")
+    assert output("limit", "-h") == fresh
 
 
 def test_library_refusal_keeps_its_message(capsys):

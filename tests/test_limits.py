@@ -725,8 +725,8 @@ def test_cell_signatures_match_the_public_constructor(n):
     for cell in enumerate_cells(n):
         F = cell.signature()
         assert type(F) is FlagSignature
-        assert F == FlagSignature(
-            [(b.count(1), b.count(-1)) for b in cell.block_points])
+        signs = [[cell.signs[i] for i in b] for b in cell.blocks]
+        assert F == FlagSignature([(s.count(1), s.count(-1)) for s in signs])
 
 
 def test_split_signatures_match_the_public_constructor():
