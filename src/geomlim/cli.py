@@ -331,10 +331,13 @@ def cmd_heis(args):
         ts = np.linspace(0, 1, 33)
         u = np.concatenate([ts, np.ones(33), 1 - ts, np.zeros(33)])
         xs, ys = heisenberg.developing_map(r, u, np.roll(u, 33))
-        pad = 0.1 * max(xs.max() - xs.min(), ys.max() - ys.min(), 1e-9)
-        view = "{} {} {} {}".format(xs.min() - pad, ys.min() - pad,
-                                    xs.max() - xs.min() + 2 * pad,
-                                    ys.max() - ys.min() + 2 * pad)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w, h = xs.max() - xs.min(), ys.max() - ys.min()
+            pad = 0.1 * max(w, h, 1e-9)
+            box = (xs.min() - pad, ys.min() - pad, w + 2 * pad, h + 2 * pad)
+        if not np.isfinite(box).all():
+            raise ValueError("the image's view box leaves the float range")
+        view = "{} {} {} {}".format(*box)
         poly = " ".join("{:.6g},{:.6g}".format(x, y) for x, y in zip(xs, ys))
         return ('<svg xmlns="http://www.w3.org/2000/svg" viewBox="{}">'
                 '<polyline points="{}" fill="none" stroke="black" '

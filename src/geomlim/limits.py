@@ -10,12 +10,13 @@ carries its partition.  A point built from components (encode_partition,
 user code) is decoded instead: a coordinate's block is set by how many
 coordinates it dominates.  The limit Lie algebra is rebuilt line by line
 from the point, one element per coordinate pair; elements on distinct
-pairs are orthogonal, so eta writes each element's two nonzero entries,
-and those of its normalized copy, at flat positions cached per n, without
-LieSubspace's pairwise orthogonality test, which the public constructor
-still runs on a basis it is given.  Likewise psi_limit's partition and
-the flag signatures are built without the checks of the public
-constructors, which their construction already satisfies.
+pairs are orthogonal, so eta and so_basis write each element's two
+nonzero entries at flat positions cached per n, without LieSubspace's
+pairwise orthogonality test, which the public constructor still runs on
+a basis it is given; ``onb`` is derived from the basis on first read.
+Likewise psi_limit's partition and the flag signatures are built without
+the checks of the public constructors, which their construction already
+satisfies.
 
 The combinatorial half (paths, limit points, partitions, signatures, the
 poset) is plain Python; numpy is imported by the numeric functions that
@@ -280,10 +281,10 @@ class FlagSignature(tuple):
 class LieSubspace:
     """A subspace of n x n matrices spanned by pairwise orthogonal basis
     elements (under the Frobenius product), such as elements supported
-    on distinct coordinate pairs.  ``onb`` holds the nonzero elements,
-    flattened and normalized, as columns.  The basis must be a nonempty
-    list of finite square matrices of one size; a basis that is not
-    pairwise orthogonal is a ValueError."""
+    on distinct coordinate pairs.  ``dim`` counts the nonzero elements;
+    ``onb``, derived from ``basis`` on first read, holds them flattened
+    and normalized as columns.  A basis that is empty, not finite square
+    matrices of one size or not pairwise orthogonal is a ValueError."""
 
     def __init__(self, basis):
         import numpy as np
@@ -302,12 +303,32 @@ class LieSubspace:
         np.fill_diagonal(gram, 0.0)
         if np.any(np.abs(gram) > 1e-12 * np.outer(norms, norms)):
             raise ValueError("basis elements are not pairwise orthogonal")
-        keep = norms > 0
-        self.onb = (V[keep] / norms[keep, None]).T
+        self.dim = int(np.count_nonzero(norms))
 
-    @property
-    def dim(self):
-        return self.onb.shape[1]
+    @classmethod
+    def _pairs(cls, n, x, y):
+        """The span of y_k e_ij - x_k e_ji, none zero, the k-th pair i < j
+        in order: elements on distinct pairs are orthogonal, so none of
+        the constructor's checks run."""
+        import numpy as np
+
+        ij, ji = _pair_positions(n)
+        basis = np.zeros(len(x) * n * n)
+        basis[ij] = y
+        basis[ji] = -x
+        S = cls.__new__(cls)
+        S.basis, S.n, S.dim = basis.reshape(-1, n, n), n, len(x)
+        return S
+
+    @functools.cached_property
+    def onb(self):
+        """The nonzero elements over their norms off the Gram diagonal."""
+        import numpy as np
+
+        V = self.basis.reshape(len(self.basis), -1)
+        norms = np.sqrt((V @ V.T).diagonal())
+        keep = norms > 0
+        return (V[keep] / norms[keep, None]).T
 
     def principal_angle_distance(self, other):
         """Largest principal angle to another subspace (sine-based, so it
@@ -333,9 +354,9 @@ class LieSubspace:
 
 
 def so_basis(J):
-    """Basis of the Lie algebra preserving the diagonal form J:
-    one element J_j e_ij - J_i e_ji per pair i < j.  J needs at least
-    two entries, each finite and nonzero."""
+    """Basis of the Lie algebra preserving the diagonal form J: one
+    element J_j e_ij - J_i e_ji per pair i < j (``onb`` is derived on
+    first read).  J needs at least two entries, finite and nonzero."""
     import numpy as np
 
     J = np.asarray(J, dtype=float)
@@ -345,14 +366,8 @@ def so_basis(J):
         raise ValueError("form entries must be finite")
     if J.ndim != 1 or len(J) < 2:
         raise ValueError("need at least two diagonal entries")
-    n = len(J)
-    basis = []
-    for i, j in itertools.combinations(range(n), 2):
-        M = np.zeros((n, n))
-        M[i, j] = J[j]
-        M[j, i] = -J[i]
-        basis.append(M)
-    return LieSubspace(basis)
+    i, j = np.triu_indices(len(J), 1)
+    return LieSubspace._pairs(len(J), J[i], J[j])
 
 
 def conjugacy_to_form_path(C, J):
@@ -425,14 +440,14 @@ def psi_limit(P):
 
 
 @functools.lru_cache(maxsize=32)
-def _eta_positions(n):
+def _pair_positions(n):
     """The read-only flat positions of (k, i, j) and (k, j, i) in an
     (n(n-1)/2, n, n) stack, for the k-th pair i < j in order."""
     import numpy as np
 
-    pos = tuple(np.array(p, np.intp) for p in zip(*[
-        (n * (n * k + i) + j, n * (n * k + j) + i)
-        for k, (i, j) in enumerate(itertools.combinations(range(n), 2))]))
+    i, j = np.triu_indices(n, 1)
+    k = n * np.arange(len(i))
+    pos = (n * (k + i) + j, n * (k + j) + i)
     for a in pos:
         a.flags.writeable = False
     return pos
@@ -443,34 +458,18 @@ def eta(L):
     with ratio [x:y] contributes the line through y e_ij - x e_ji, in the
     limit point's i < j order.  The elements sit on distinct coordinate
     pairs and none is zero, so they are orthogonal and span a subspace of
-    dimension n(n-1)/2 without LieSubspace's pairwise test.  Its norms are
-    read off the same Gram matrix as the public constructor's, so ``onb``
-    has the same bytes.  Raises Undecodable when the point does not
-    decode."""
+    dimension n(n-1)/2 without LieSubspace's pairwise test; ``onb`` is
+    derived from the basis on first read.  Raises Undecodable when the
+    point does not decode."""
     try:
         decode_partition(L)
     except Inconsistent as exc:
         raise Undecodable(str(exc)) from None
     import numpy as np
 
-    n, comp = L.n, L.components
-    m = len(comp)
-    xy = np.fromiter(itertools.chain.from_iterable(comp.values()), float,
-                     2 * m)
-    x, y = xy[0::2], xy[1::2]
-    ij, ji = _eta_positions(n)
-    basis = np.zeros(m * n * n)
-    basis[ij] = y
-    basis[ji] = -x
-    V = basis.reshape(m, n * n)
-    nrm = np.sqrt((V @ V.T).diagonal())
-    onb = np.zeros(m * n * n)  # V / nrm[:, None], as 0 / nrm is 0
-    onb[ij] = y / nrm
-    onb[ji] = -x / nrm
-    S = LieSubspace.__new__(LieSubspace)
-    S.basis, S.onb = basis.reshape(m, n, n), onb.reshape(m, -1).T
-    S.n = S.basis.shape[1]
-    return S
+    xy = np.fromiter(itertools.chain.from_iterable(L.components.values()),
+                     float, 2 * len(L.components))
+    return LieSubspace._pairs(L.n, xy[0::2], xy[1::2])
 
 
 def decode_partition(L):

@@ -72,6 +72,22 @@ def test_limit_command(capsys):
                 assert abs(M[i][j]) <= 1e-12
 
 
+def test_limit_leaves_onb_uncomputed(capsys, monkeypatch):
+    # limit prints the basis only, so the orthonormal basis is never built
+    from geomlim import limits
+
+    subs, eta = [], limits.eta
+
+    def spy(L):
+        subs.append(eta(L))
+        return subs[-1]
+
+    monkeypatch.setattr(limits, "eta", spy)
+    code, _, _ = run(capsys, "limit", "--form", "1,1,-1", "--conj", "t^2,t,1")
+    assert code == 0 and len(subs) == 1
+    assert "onb" not in subs[0].__dict__
+
+
 def test_limit_command_invalid(capsys):
     code, _, err = run(capsys, "limit", "--form", "1,0,1")
     assert code == 2
@@ -183,6 +199,9 @@ INVALID_ARGVS = [
     ["poset", "1", "\u0663"],
     ["algebra", "idempotents", "--delta", "1_0"],
     ["heis", "dev", "--grid", "0:1:0_3", "--input", REP],
+    # an image whose extent leaves the float range has no SVG view box
+    ["heis", "dev", "--format", "svg", "--input",
+     {"x": [0, 0], "y": [1e308, -1e308], "z": [1e307, 1e307]}],
 ]
 
 

@@ -293,6 +293,46 @@ def test_so_basis_preserves_form():
         assert np.abs(M.T @ np.diag(J) + np.diag(J) @ M).max() <= 1e-12
 
 
+def _so_basis_reference(J):
+    """so_basis(J) by its former construction: one n x n matrix per pair
+    i < j, through the public constructor."""
+    n = len(J)
+    basis = []
+    for i, j in itertools.combinations(range(n), 2):
+        M = np.zeros((n, n))
+        M[i, j] = J[j]
+        M[j, i] = -J[i]
+        basis.append(M)
+    return LieSubspace(basis)
+
+
+# Form entries of either sign, with magnitudes from 1e-150 to 1e150.
+_form_entries = st.builds(
+    lambda s, m, k: s * m * 10.0 ** k, st.sampled_from([-1.0, 1.0]),
+    st.floats(min_value=1.0, max_value=10.0), st.integers(-150, 149))
+
+
+@settings(deadline=None, max_examples=300, derandomize=True, database=None)
+@given(st.lists(_form_entries, min_size=2, max_size=8))
+@example([1e-150, -1e150, 1.0])
+@example([-1e150, -1e150])
+def test_so_basis_matches_the_per_pair_construction(J):
+    sub, ref = lim.so_basis(J), _so_basis_reference(np.array(J))
+    assert sub.n == ref.n and sub.dim == ref.dim == len(J) * (len(J) - 1) // 2
+    for a, b in ((sub.basis, ref.basis), (sub.onb, ref.onb)):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+def test_eta_derives_onb_on_first_read():
+    L = lim.psi_limit(MonomialDiagonal([(1.0, 2), (-2.0, 1), (3.0, 1)]))
+    sub = lim.eta(L)
+    assert "onb" not in sub.__dict__
+    onb = sub.onb
+    assert sub.__dict__["onb"] is onb and sub.onb is onb
+    assert onb.shape == (9, 3)
+
+
 def test_conjugacy_to_form_path():
     C = MonomialDiagonal([(1.0, 2), (1.0, 1), (1.0, 0)])
     path = lim.conjugacy_to_form_path(C, [1.0, 1.0, -1.0])
