@@ -19,7 +19,7 @@ to (1,0),(2,0),(1,0), which no oriented split of (2,1) reaches."""
 import itertools
 from math import comb
 
-from .limits import _split_one_block, flag_signature
+from .limits import flag_signature
 
 # enumerate_cells' cap on n: n = 7 has 202,672 cells, n = 8 2,951,680
 MAX_CELLS_N = 7
@@ -161,19 +161,21 @@ def faces(cell):
     a nonempty proper subset followed by the rest, and the sign class is
     restricted to the new blocks.  Blocks are taken in order, subsets in
     itertools.combinations order."""
-    signs, wrap = cell.signs, Cell._wrap
-    for blocks in _split_one_block(cell.blocks, _split_block):
-        # the pieces of the split block are ascending, and only a piece
-        # without the block's first index can start with sign -: flip
-        # each block that does
-        new = signs
-        for piece in blocks:
-            if new[piece[0]] < 0:
-                new = list(new)
-                for j in piece:
-                    new[j] = -new[j]
-                new = tuple(new)
-        yield wrap(tuple(blocks), new)
+    signs, wrap, old = cell.signs, Cell._wrap, cell.blocks
+    for i, block in enumerate(old):
+        for left, right in _split_block(block):
+            blocks = (*old[:i], left, right, *old[i + 1:])
+            # the pieces of the split block are ascending, and only a
+            # piece without the block's first index can start with sign
+            # -: flip each block that does
+            new = signs
+            for piece in blocks:
+                if new[piece[0]] < 0:
+                    new = list(new)
+                    for j in piece:
+                        new[j] = -new[j]
+                    new = tuple(new)
+            yield wrap(blocks, new)
 
 
 def boundary_cells(cell):

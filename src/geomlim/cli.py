@@ -14,12 +14,13 @@ arrays through one hook, ``_tolist``.  The text formats come from the
 one DOT writer, ``_dot``, and the one CSV writer, ``_csv``.
 
 numpy, ``fractions`` and the library modules are imported by the
-functions that use them, so ``poset``, ``cells`` and ``algebra`` run
-without loading numpy, and ``algebra`` without ``fractions``.  A
-command line is parsed by the one parser of its row of ``COMMANDS``,
-kept for the process, which refuses an option the operation does not
-read; the help of ``geomlim``, ``geomlim heis`` and ``geomlim algebra``
-is a parser with one positional argument that lists the choices.
+functions that use them, so ``limit`` (whose Lie basis is built as
+lists), ``poset``, ``cells`` and ``algebra`` run without loading numpy,
+and ``algebra`` without ``fractions``.  A command line is parsed by
+the one parser of its row of ``COMMANDS``, kept for the process, which
+refuses an option the operation does not read; the help of ``geomlim``,
+``geomlim heis`` and ``geomlim algebra`` is a parser with one positional
+argument that lists the choices.
 """
 
 import argparse
@@ -31,8 +32,8 @@ import re
 import sys
 
 _TERM = re.compile(
-    r"^\s*(?:(?P<coeff>[+-]?\d+(?:\.\d+)?)\s*(?:\*\s*(?=t))?)?"
-    r"(?P<t>t(?:\^(?P<exp>[+-]?\d+(?:/\d*[1-9]\d*)?))?)?\s*$", re.ASCII)
+    r"^\s*(?:(?P<coeff>[+-]?\d+(?:\.\d+)?)\s*(?:\*\s*(?=t))?)?(?P<t>t"
+    r"(?:\^(?P<num>[+-]?\d+)(?:/(?P<den>\d*[1-9]\d*))?)?)?\s*$", re.ASCII)
 
 
 class InvalidInput(ValueError):
@@ -58,8 +59,8 @@ def parse_monomial_path(text):
         mt = _TERM.match(term)
         if not mt or not (mt["coeff"] or mt["t"]):
             raise InvalidInput("cannot parse path term {!r}".format(term))
-        entries.append((float(mt["coeff"] or 1),
-                        Fraction(mt["exp"] or (1 if mt["t"] else 0))))
+        entries.append((float(mt["coeff"] or 1), Fraction(
+            int(mt["num"] or (1 if mt["t"] else 0)), int(mt["den"] or 1))))
     if len(entries) < 2:
         raise InvalidInput("need at least two path entries")
     return limits.MonomialDiagonal(entries)
@@ -240,7 +241,6 @@ def cmd_limit(args):
             path = limits.MonomialDiagonal.constant(J)
     L = limits.psi_limit(path)
     P = limits.decode_partition(L)
-    sub = limits.eta(L)
     F = limits.flag_signature(P)
     doc = {
         "path": [[c, str(e)] for c, e in path.entries],
@@ -248,7 +248,7 @@ def cmd_limit(args):
                         for (i, j), v in L.components.items()},
         "partition": {"blocks": P.blocks, "points": P.block_points},
         "flag_signature": F,
-        "lie_basis": sub.basis,
+        "lie_basis": limits.eta_lists(L),
     }
     if path.n == 3:
         doc["class_3d"] = limits.classify_limit_group_3d(F)

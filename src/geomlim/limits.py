@@ -3,26 +3,19 @@
 A diagonal form path diag(c_i t^{e_i}) determines, as t -> +infinity, a
 point of a torus of projective lines (one per coordinate pair) and an
 ordered partition of the coordinates by exponent, largest first, with the
-coefficients as block points.  psi_limit ranks the exponents exactly, as
-integers over their common denominator, and builds the components, the
-blocks and the block points in one pass over the pairs i < j; the point
-carries its partition.  A point built from components (encode_partition,
-user code) is decoded instead: a coordinate's block is set by how many
-coordinates it dominates.  The limit Lie algebra is rebuilt line by line
-from the point, one element per coordinate pair; elements on distinct
-pairs are orthogonal, so eta and so_basis write each element's two
-nonzero entries at flat positions cached per n, without LieSubspace's
-pairwise orthogonality test, which the public constructor still runs on
-a basis it is given; ``onb`` is derived from the basis on first read.
-Likewise psi_limit's partition and the flag signatures are built without
-the checks of the public constructors, which their construction already
-satisfies.
+coefficients as block points.  psi_limit builds both in one pass over the
+pairs i < j, ranking the exponents exactly as integers; a point built
+from components (encode_partition, user code) is decoded instead.  The
+limit Lie algebra has one element per coordinate pair, so its elements
+are orthogonal: eta and so_basis build it without LieSubspace's pairwise
+test, and eta_lists writes eta's basis as nested lists.  Likewise
+psi_limit's partition and the flag signatures skip the checks of the
+public constructors, which their construction already satisfies.
 
-The combinatorial half (paths, limit points, partitions, signatures, the
-poset) is plain Python; numpy is imported by the numeric functions that
-use it (``evaluate``, ``LieSubspace``, ``so_basis``,
-``conjugacy_to_form_path``, ``eta``), so ``cells`` and ``limit_poset``
-run without it.
+Paths, limit points, partitions, signatures and the poset are plain
+Python.  numpy is imported by the functions that use it (``evaluate``,
+``LieSubspace``, ``so_basis`` and ``eta``), so ``cells``,
+``limit_poset`` and the ``limit`` command run without it.
 """
 
 import functools
@@ -54,18 +47,23 @@ class DimensionMismatch(ValueError):
 
 
 class MonomialDiagonal:
-    """A diagonal path t -> diag(c_i * t^(e_i)); limits are at t -> +inf."""
+    """A diagonal path t -> diag(c_i * t^(e_i)), float c_i and Fraction
+    e_i (one given as a Fraction is kept); limits are at t -> +inf."""
 
     def __init__(self, entries):
-        self.entries = [(float(c), Fraction(e)) for c, e in entries]
+        self.entries = [(float(c), e if type(e) is Fraction else Fraction(e))
+                        for c, e in entries]
         if any(c == 0 for c, _ in self.entries):
             raise ZeroEigenvalue("zero coefficient in diagonal path")
         if not all(math.isfinite(c) for c, _ in self.entries):
             raise ValueError("path coefficients must be finite")
         if len(self.entries) < 2:
             raise ValueError("need at least two diagonal entries")
-        # evaluate's terms, each exponent converted to float once
-        self._terms = [(c, float(e)) for c, e in self.entries]
+
+    @functools.cached_property
+    def _terms(self):
+        """evaluate's terms, each exponent a float by float(e)'s division."""
+        return [(c, e.numerator / e.denominator) for c, e in self.entries]
 
     @property
     def n(self):
@@ -278,13 +276,25 @@ class FlagSignature(tuple):
         return "FlagSignature({})".format(self.pairs)
 
 
+def _scaled_rows(V):
+    """V's rows, each times the power of two that brings its largest
+    magnitude into [0.5, 1), their Gram matrix and norms.  Where V's own
+    squares stay in range this is exact: the norms and directions are V's."""
+    import numpy as np
+
+    _, k = np.frexp(np.abs(V).max(axis=1, initial=0.0))
+    S = np.ldexp(V, -k[:, None])
+    gram = S @ S.T
+    return S, gram, np.sqrt(gram.diagonal())
+
+
 class LieSubspace:
     """A subspace of n x n matrices spanned by pairwise orthogonal basis
     elements (under the Frobenius product), such as elements supported
     on distinct coordinate pairs.  ``dim`` counts the nonzero elements;
-    ``onb``, derived from ``basis`` on first read, holds them flattened
-    and normalized as columns.  A basis that is empty, not finite square
-    matrices of one size or not pairwise orthogonal is a ValueError."""
+    ``onb``, derived from ``basis`` on first read, holds them normalized
+    as columns.  A basis that is empty, not finite square matrices of one
+    size or not pairwise orthogonal is a ValueError."""
 
     def __init__(self, basis):
         import numpy as np
@@ -297,9 +307,7 @@ class LieSubspace:
         if not np.isfinite(self.basis).all():
             raise ValueError("basis entries must be finite")
         self.n = self.basis.shape[1]
-        V = self.basis.reshape(len(self.basis), -1)
-        gram = V @ V.T
-        norms = np.sqrt(gram.diagonal())
+        _, gram, norms = _scaled_rows(self.basis.reshape(len(self.basis), -1))
         np.fill_diagonal(gram, 0.0)
         if np.any(np.abs(gram) > 1e-12 * np.outer(norms, norms)):
             raise ValueError("basis elements are not pairwise orthogonal")
@@ -322,13 +330,10 @@ class LieSubspace:
 
     @functools.cached_property
     def onb(self):
-        """The nonzero elements over their norms off the Gram diagonal."""
-        import numpy as np
-
-        V = self.basis.reshape(len(self.basis), -1)
-        norms = np.sqrt((V @ V.T).diagonal())
+        """The nonzero elements over their norms, scaled by _scaled_rows."""
+        S, _, norms = _scaled_rows(self.basis.reshape(len(self.basis), -1))
         keep = norms > 0
-        return (V[keep] / norms[keep, None]).T
+        return (S[keep] / norms[keep, None]).T
 
     def principal_angle_distance(self, other):
         """Largest principal angle to another subspace (sine-based, so it
@@ -373,16 +378,15 @@ def so_basis(J):
 def conjugacy_to_form_path(C, J):
     """Replace conjugation of the orthogonal group by a diagonal path with
     a path of diagonal forms: D O(J) D^-1 = O(D^-T J D^-1) gives entries
-    (J_i c_i^-2, -2 e_i)."""
-    import numpy as np
-
-    J = np.asarray(J, dtype=float)
+    (J_i c_i^-2, -2 e_i), on Python floats.  An entry past the float range
+    is inf or 0 (J_i / 0 is inf), which MonomialDiagonal rejects."""
+    J = [float(x) for x in J]
     if len(J) != C.n:
         raise DimensionMismatch("form and path sizes differ")
-    # an entry past the float range is inf, which MonomialDiagonal rejects
-    with np.errstate(over="ignore", divide="ignore"):
-        return MonomialDiagonal(
-            [(J[i] / (c * c), -2 * e) for i, (c, e) in enumerate(C.entries)])
+    return MonomialDiagonal([
+        (x / (c * c) if c * c else math.inf,
+         Fraction(-2 * e.numerator, e.denominator))
+        for x, (c, e) in zip(J, C.entries)])
 
 
 def psi_limit(P):
@@ -454,12 +458,10 @@ def _pair_positions(n):
 
 
 def eta(L):
-    """Rebuild the limit Lie subalgebra from a limit point: pair (i,j)
-    with ratio [x:y] contributes the line through y e_ij - x e_ji, in the
-    limit point's i < j order.  The elements sit on distinct coordinate
-    pairs and none is zero, so they are orthogonal and span a subspace of
-    dimension n(n-1)/2 without LieSubspace's pairwise test; ``onb`` is
-    derived from the basis on first read.  Raises Undecodable when the
+    """Rebuild the limit Lie subalgebra from a limit point: pair (i,j) =
+    [x:y] contributes y e_ij - x e_ji, in i < j order.  The elements sit
+    on distinct pairs and none is zero, so they span dimension n(n-1)/2
+    without LieSubspace's pairwise test.  Raises Undecodable when the
     point does not decode."""
     try:
         decode_partition(L)
@@ -472,12 +474,22 @@ def eta(L):
     return LieSubspace._pairs(L.n, xy[0::2], xy[1::2])
 
 
+def eta_lists(L):
+    """eta(L).basis.tolist() of a point that decodes, without numpy or
+    the decode check: an n x n nested list of floats per pair i < j =
+    [x : y], in order, with y at (i, j), -x at (j, i) and 0.0 elsewhere."""
+    n, basis = L.n, []
+    for (i, j), (x, y) in L.components.items():
+        M = [[0.0] * n for _ in range(n)]
+        M[i][j], M[j][i] = y, -x
+        basis.append(M)
+    return basis
+
+
 def decode_partition(L):
     """Recover the ordered partition (blocks by vanishing rate, dominant
-    first, plus per-block projective points) from a limit point.  A point
-    from psi_limit carries its partition, which is returned at once; this
-    decoder is for points built from components (encode_partition, user
-    code).
+    first, plus per-block projective points) from a limit point built
+    from components; one from psi_limit carries it, returned at once.
 
     Pair (i, j) = [x : y] says i dominates j when y = 0, j dominates i
     when x = 0, and ties them otherwise.  With w[i] the number of
@@ -489,8 +501,7 @@ def decode_partition(L):
 
     The partition is stored on the read-only point, so the point is
     decoded once: later calls return that same object, which callers
-    share and must not change.  A point that does not decode raises on
-    every call."""
+    share and must not change; a point that does not decode always raises."""
     if L._partition is not None:
         return L._partition
     n, comp = L.n, L.components
@@ -594,32 +605,32 @@ def is_limit_of(F, p, q):
     return p in sums
 
 
-def _split_one_block(blocks, splits):
-    """Yield every block list made by replacing one block with the two
-    consecutive blocks (left, right), for each pair splits(block) yields,
-    block by block in order."""
-    for i, block in enumerate(blocks):
-        for left, right in splits(block):
-            yield [*blocks[:i], left, right, *blocks[i + 1:]]
-
-
-def _split_pair(pair):
+@functools.lru_cache(maxsize=128)
+def _pair_splits(pair):
+    """The splits (left, right) of a block's pair (p, q) into nonempty
+    pieces, as the first block (left as it is) and as a later block (left
+    oriented p >= q, as FlagSignature orders it); right is oriented."""
     p, q = pair
+    first, later = [], []
     for a in range(p + 1):
         for b in range(q + 1):
             if 0 < a + b < p + q:
-                yield (a, b), (p - a, q - b)
+                c, d = p - a, q - b
+                right = (c, d) if c >= d else (d, c)
+                first.append(((a, b), right))
+                later.append(((a, b) if a >= b else (b, a), right))
+    return tuple(first), tuple(later)  # shared by every caller
 
 
 def _split_signatures(F):
     """All signatures obtained by splitting one block of F into two
-    consecutive nonempty sub-blocks (swaps permitted on non-initial
-    pieces: every pair after the first is ordered p >= q, as
-    FlagSignature orders it)."""
-    wrap = FlagSignature._wrap
-    return [wrap((pairs[0], *[(p, q) if p >= q else (q, p)
-                              for p, q in pairs[1:]]))
-            for pairs in _split_one_block(F, _split_pair)]
+    consecutive nonempty sub-blocks, block by block, each by _pair_splits
+    (swaps permitted on non-initial pieces)."""
+    wrap, out = FlagSignature._wrap, []
+    for i, pair in enumerate(F):
+        head, tail = F[:i], F[i + 1:]
+        out += [wrap(head + lr + tail) for lr in _pair_splits(pair)[i > 0]]
+    return out
 
 
 MAX_POSET_N = 12  # limit_poset's cap on p + q; (6, 6) has 209k edges
@@ -628,24 +639,27 @@ MAX_POSET_N = 12  # limit_poset's cap on p + q; (6, 6) has 209k edges
 def limit_poset(p, q):
     """Nodes and edges of the degeneration poset of limits of the (p, q)
     orthogonal group, level by level from [(p, q)].  An edge splits one
-    block into two, so it adds exactly one block and is a cover.  Every
-    limit signature is reached: merging its last two blocks (oriented as
-    its swaps are) gives a limit signature one level up."""
+    block into two, so it adds one block and is a cover; merging a limit's
+    last two blocks (oriented as its swaps are) gives a limit one level
+    up, so every limit is reached.  A level's nodes have one length, so
+    each level is sorted once: nodes come in the order (len(F), F) and
+    edges in the order (len(F), F, G)."""
     if p < 1:
         raise ValueError("need p >= 1")
     if p + q > MAX_POSET_N:
         raise ValueError("poset needs p + q <= {}".format(MAX_POSET_N))
-    root = FlagSignature([(p, q)])
-    level, edges = {root}, set()
+    root = FlagSignature([(p, q)])  # refuses a negative q
+    nodes, edges, level = [root], [], [root]
     while level:
         # A split G of a limit F is a limit iff G.first[0] >= 1: orient
         # both pieces of the split block as that block was oriented (the
         # second piece of a split first block unswapped), and the block
         # sums still reach (p, q); is_limit_of asks nothing more.
-        new = {(F, G) for F in level for G in _split_signatures(F)
-               if G.first[0] >= 1}
-        edges |= new
-        level = {G for _, G in new}
-    nodes = {root} | {G for _, G in edges}
-    return sorted(nodes, key=lambda F: (len(F), F)), sorted(
-        edges, key=lambda e: (len(e[0]), *e))
+        found = set()
+        for F in level:
+            kids = sorted({G for G in _split_signatures(F) if G[0][0] >= 1})
+            edges += [(F, G) for G in kids]
+            found.update(kids)
+        level = sorted(found)
+        nodes += level
+    return nodes, edges

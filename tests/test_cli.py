@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -72,20 +73,57 @@ def test_limit_command(capsys):
                 assert abs(M[i][j]) <= 1e-12
 
 
-def test_limit_leaves_onb_uncomputed(capsys, monkeypatch):
-    # limit prints the basis only, so the orthonormal basis is never built
+def test_limit_builds_no_lie_subspace(capsys, monkeypatch):
+    # limit prints the basis as lists built from the limit point, so no
+    # LieSubspace, numpy array or orthonormal basis is made
     from geomlim import limits
 
-    subs, eta = [], limits.eta
+    def refuse(*args, **kwargs):
+        raise AssertionError("limit built a LieSubspace")
 
-    def spy(L):
-        subs.append(eta(L))
-        return subs[-1]
+    # the public constructor and the one eta and so_basis use
+    monkeypatch.setattr(limits.LieSubspace, "__init__", refuse)
+    monkeypatch.setattr(limits.LieSubspace, "_pairs", refuse)
+    code, out, err = run(capsys, "limit", "--form", "1,1,-1",
+                         "--conj", "t^2,t,1")
+    assert code == 0 and err == "" and json.loads(out)["class_3d"] == "Heis"
 
-    monkeypatch.setattr(limits, "eta", spy)
-    code, _, _ = run(capsys, "limit", "--form", "1,1,-1", "--conj", "t^2,t,1")
-    assert code == 0 and len(subs) == 1
-    assert "onb" not in subs[0].__dict__
+
+# Terms of the path grammar: a coefficient of either sign from 1e-8 to
+# 1e8 written out in decimal, and few exponents, so that blocks tie.
+_terms = st.builds(
+    lambda sign, m, k, e: "{}{:f}*t^{}".format(sign, Decimal(m).scaleb(k), e),
+    st.sampled_from(["", "-"]), st.integers(1, 99), st.integers(-9, 7),
+    st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/2"]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(_terms, min_size=2, max_size=6), st.data())
+@example(["t^2", "t", "1"], None)
+@example(["-1*t^0", "0.00000001*t^0", "100000000*t^1"], None)
+def test_limit_lie_basis_is_eta_basis(terms, data):
+    # the printed lie_basis, through --path or through --form and --conj
+    # (with or without --reverse), is eta's basis as lists, signed zeros
+    # and all
+    from geomlim import limits
+
+    text, n = ",".join(terms), len(terms)
+    argv = ["limit", "--path=" + text]
+    path = cli.parse_monomial_path(text)
+    if data is not None and data.draw(st.booleans()):
+        form = data.draw(st.lists(st.sampled_from([-2.0, -1.0, 0.5, 3.0]),
+                                  min_size=n, max_size=n))
+        reverse = data.draw(st.booleans())
+        argv = ["limit", "--form=" + ",".join(map(repr, form)),
+                "--conj=" + text] + ["--reverse"] * reverse
+        path = limits.conjugacy_to_form_path(
+            path.reversed() if reverse else path, form)
+    L = limits.psi_limit(path)
+    want = repr(limits.eta(L).basis.tolist())
+    assert repr(limits.eta_lists(L)) == want
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.run(argv) == 0
+    assert repr(json.loads(out.getvalue())["lie_basis"]) == want
 
 
 def test_limit_command_invalid(capsys):
@@ -764,10 +802,12 @@ def test_combinatorics_and_algebra_do_not_import_numpy():
     assert got.pop("algebra idempotents --delta 1") == [0, []]
     assert got == {"poset 1 3": [0, ["fractions"]],
                    "cells 3 --poset": [0, ["fractions"]]}
-    # the numeric commands do load numpy
-    got = _probe(["limit", "--form", "1,1,-1", "--conj", "t^2,t,1"])
-    assert got["limit --form 1,1,-1 --conj t^2,t,1"] == [
-        0, ["fractions", "numpy"]]
+    # limit builds its Lie basis as lists, so it loads fractions only
+    got = _probe(["limit", "--form", "1,1,-1", "--conj", "t^2,t,1",
+                  "--reverse"], ["limit", "--path", "2*t^-1,t^1/2,3"])
+    assert got["limit --form 1,1,-1 --conj t^2,t,1 --reverse"] == [
+        0, ["fractions"]]
+    assert got["limit --path 2*t^-1,t^1/2,3"] == [0, ["fractions"]]
 
 
 def test_package_attributes_load_on_first_use():

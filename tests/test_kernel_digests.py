@@ -3,13 +3,16 @@ u_lie_basis and decode were recorded before the library wrapped its
 computed grids without a copy and before a limit point kept its decoded
 partition.  exp_delta was recorded again when it moved from a series of
 algebra products to a Paterson-Stockmeyer sum on the real 2n x 2n
-representation, which rounds differently in the last bits.
+representation, which rounds differently in the last bits.  onb was
+recorded while its norms were taken off the Gram diagonal of the
+unscaled elements, before they were scaled by powers of two.
 The bytes are compared, not the values, so a signed zero counts.
 
-exp_delta, inverse and eta go through BLAS matrix products, whose rounding
-depends on the BLAS build and on the kernel it picks for the processor.
-Their digests are checked only where plain products, inverses and Gram
-matrices of the same sizes (the canary) give the bytes recorded with them.
+exp_delta, inverse, eta and onb go through BLAS matrix products, whose
+rounding depends on the BLAS build and on the kernel it picks for the
+processor.  Their digests are checked only where plain products, inverses
+and Gram matrices of the same sizes (the canary) give the bytes recorded
+with them.
 """
 
 import hashlib
@@ -79,6 +82,15 @@ def eta_bytes():
         yield from (sub.basis, sub.onb)
 
 
+def onb_bytes():
+    # so_basis of seeded forms of either sign and ordinary magnitudes
+    rng = np.random.default_rng(11)
+    for n in NS:
+        for _ in range(6):
+            J = rng.choice([-1.0, 1.0], n) * rng.uniform(0.01, 100.0, n)
+            yield limits.so_basis(J).onb
+
+
 def decode_bytes():
     for path in paths():
         P = limits.decode_partition(limits.psi_limit(path))
@@ -104,6 +116,8 @@ BLAS_DIGESTS = {
             "f5bc2f1d73e30e13ade2af64e6bed38e31cbc50c486a208336d4ee5efa25adfc",
         "eta":
             "c9e611431928a454df2980133f8eb71224ca335e3fa0171fc98ebd85056a21a5",
+        "onb":
+            "c5f2e77d88c715789620d7d9e3f0298c9712ab9619b0a1c9cec3047eb6496f32",
     },
     "75d125a8f065e461011388f8648d41fe7c7f3e8838420516414a27dec34d18e2": {
         "exp_delta":
@@ -112,6 +126,8 @@ BLAS_DIGESTS = {
             "9459befb5aaa54c51a88e3a6cd96f7a09a32d4cc4d3ac1596d144e9ec7b17ae3",
         "eta":
             "c9e611431928a454df2980133f8eb71224ca335e3fa0171fc98ebd85056a21a5",
+        "onb":
+            "8de319b70313f75f27d8d7253dcc8a9eccc1852cf40834e789f464db87205942",
     },
     "8b5a17293649359193c44a67f02cc1c7ab70d0140e11cec792a038716f4a8b90": {
         "exp_delta":
@@ -120,6 +136,8 @@ BLAS_DIGESTS = {
             "090f5c8d46e77e0b602a06868245fcfcc0ff24bd2a47b033f36f45f624563b67",
         "eta":
             "c9e611431928a454df2980133f8eb71224ca335e3fa0171fc98ebd85056a21a5",
+        "onb":
+            "4a0efa9ab16ddf89dec2d0b767aab4737de6a5cb96dc16f4f61ee016ebe41025",
     },
 }
 DIGESTS = {
@@ -130,7 +148,7 @@ DIGESTS = {
 }
 CASES = {"exp_delta": exp_delta_bytes, "inverse": inverse_bytes,
          "u_lie_basis": u_lie_basis_bytes, "eta": eta_bytes,
-         "decode": decode_bytes}
+         "onb": onb_bytes, "decode": decode_bytes}
 
 
 @pytest.mark.parametrize("kind", CASES)

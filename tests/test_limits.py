@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import poset_reference
 from geomlim import limits as lim
 from geomlim.cells import Cell
 from geomlim.limits import (FlagSignature, LieSubspace, LimitPoint,
@@ -333,6 +334,50 @@ def test_eta_derives_onb_on_first_read():
     assert onb.shape == (9, 3)
 
 
+# A form and a conjugator whose form path has a zero or a non-finite
+# entry, with the error and message of the division on numpy floats it
+# replaced: c^2 past the float range is inf or 0, and J_i / 0 is inf.
+INF, NAN = math.inf, math.nan
+ZERO_ENTRY = (lim.ZeroEigenvalue, "zero coefficient in diagonal path")
+NOT_FINITE = (ValueError, "path coefficients must be finite")
+
+
+@pytest.mark.parametrize("J, cs, error", [
+    ([0.0, 1.0, 1.0], [1.0, 1.0, 1.0], ZERO_ENTRY),
+    ([-0.0, 1.0, 1.0], [1.0, 1.0, 1.0], ZERO_ENTRY),
+    ([INF, 1.0, 1.0], [1.0, 1.0, 1.0], NOT_FINITE),
+    ([-INF, 1.0, 1.0], [1.0, 1.0, 1.0], NOT_FINITE),
+    ([NAN, 1.0, 1.0], [1.0, 1.0, 1.0], NOT_FINITE),
+    ([1.0, 1.0, 1.0], [1e200, 1.0, 1.0], ZERO_ENTRY),  # c^2 overflows
+    ([1.0, 1.0, 1.0], [1e-200, 1.0, 1.0], NOT_FINITE),  # c^2 underflows
+    ([-1.0, 1.0, 1.0], [1e-200, 1.0, 1.0], NOT_FINITE),
+    ([1e308, 1.0, 1.0], [1e-4, 1.0, 1.0], NOT_FINITE),  # J / c^2 overflows
+    ([5e-324, 1.0, 1.0], [1e10, 1.0, 1.0], ZERO_ENTRY),  # and underflows
+    ([0.0, 1.0, 1.0], [1e-200, 1.0, 1.0], NOT_FINITE),  # 0 / 0
+    ([INF, 1.0, 1.0], [1e200, 1.0, 1.0], NOT_FINITE),  # inf / inf
+    ([INF, 1.0, 1.0], [1e-200, 1.0, 1.0], NOT_FINITE),
+    ([NAN, 1.0, 1.0], [1e-200, 1.0, 1.0], NOT_FINITE),
+    ([1.0, 0.0, 1.0], [1e-200, 1.0, 1.0], ZERO_ENTRY),  # a zero anywhere
+    ([1.0, 1.0, 1.0], [1e-200, 1e200, 1.0], ZERO_ENTRY),
+])
+def test_form_path_past_the_float_range_is_refused_as_before(J, cs, error):
+    C = MonomialDiagonal([(c, k) for k, c in enumerate(cs)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            lim.conjugacy_to_form_path(C, J)
+    assert (type(info.value), str(info.value)) == error
+
+
+def test_monomial_diagonal_keeps_its_fractions():
+    exps = [Fraction(1, 3), Fraction(-7, 2), Fraction(10**20 + 1, 3)]
+    P = MonomialDiagonal([(1.0, x) for x in exps] + [(2.0, 5)])
+    assert all(e is x for (_, e), x in zip(P.entries, exps))
+    assert P.entries[-1] == (2.0, Fraction(5))
+    assert P._terms == [(c, float(e)) for c, e in P.entries]
+    assert P.reversed()._terms == [(c, -float(e)) for c, e in P.entries]
+
+
 def test_conjugacy_to_form_path():
     C = MonomialDiagonal([(1.0, 2), (1.0, 1), (1.0, 0)])
     path = lim.conjugacy_to_form_path(C, [1.0, 1.0, -1.0])
@@ -417,6 +462,19 @@ def test_limit_poset_small():
     nodes, edges = lim.limit_poset(1, 2)
     for a, b in edges:
         assert len(b.pairs) == len(a.pairs) + 1
+    with pytest.raises(ValueError, match="negative"):
+        lim.limit_poset(1, -1)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_limit_poset_matches_the_reference_search(n):
+    for p in range(1, n + 1):
+        nodes, edges = lim.limit_poset(p, n - p)
+        assert (nodes, edges) == poset_reference.limit_poset(p, n - p)
+        assert all(type(F) is FlagSignature for F in nodes)
+        assert all(type(pair) is tuple for F in nodes for pair in F)
+        assert all(type(e) is tuple and type(e[0]) is type(e[1])
+                   is FlagSignature for e in edges)
 
 
 def _compositions(total):
@@ -591,10 +649,22 @@ def test_onb_projector_matches_qr(n):
 
 
 def test_lie_subspace_needs_an_orthogonal_basis():
-    with pytest.raises(ValueError):
-        LieSubspace([e(0, 1), e(0, 1) + e(1, 2)])
+    # also where the Gram matrix of the unscaled elements is inf or 0
+    for k in (1.0, 1e160, 1e-170):
+        with pytest.raises(ValueError, match="not pairwise orthogonal"):
+            LieSubspace([k * e(0, 1), k * (e(0, 1) + e(1, 2))])
     # zero elements are left out of onb; orthogonal ones are kept
     assert LieSubspace([e(0, 1), np.zeros((3, 3)), 2 * e(1, 2)]).dim == 2
+
+
+@pytest.mark.parametrize("J", [[1e-170, 1e-170, 1.0], [1e160, 1e160, 1.0],
+                               [1e-170, -1e170, 3.0], [-1e170, 1e-170]])
+def test_onb_keeps_every_element_at_the_ends_of_the_float_range(J):
+    # the squares of these elements' entries leave the float range, so
+    # norms taken off the raw Gram diagonal are 0 or inf
+    for sub in (lim.so_basis(J), LieSubspace(lim.so_basis(J).basis)):
+        assert sub.dim == sub.onb.shape[1] == len(J) * (len(J) - 1) // 2
+        assert np.abs(np.linalg.norm(sub.onb, axis=0) - 1).max() <= 1e-15
 
 
 @pytest.mark.parametrize("bad", [2.5, math.nan, math.inf, -math.inf, "3"])
