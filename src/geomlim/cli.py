@@ -80,6 +80,8 @@ def _plain(kind):
 _INT, _FLOAT = _plain(int), _plain(float)
 # parse_grid's cap on the point count; heis dev evaluates n^2 points
 MAX_GRID_POINTS = 1001
+# cmd_limit's cap on n; its lie_basis holds n^3 (n - 1) / 2 numbers
+MAX_LIMIT_N = 64
 
 
 def parse_grid(text, log=False):
@@ -239,6 +241,8 @@ def cmd_limit(args):
             raise InvalidInput("--reverse needs --conj")
         else:
             path = limits.MonomialDiagonal.constant(J)
+    if path.n > MAX_LIMIT_N:
+        raise InvalidInput("limit needs n <= {}".format(MAX_LIMIT_N))
     L = limits.psi_limit(path)
     P = limits.decode_partition(L)
     F = limits.flag_signature(P)

@@ -240,6 +240,13 @@ INVALID_ARGVS = [
     # an image whose extent leaves the float range has no SVG view box
     ["heis", "dev", "--format", "svg", "--input",
      {"x": [0, 0], "y": [1e308, -1e308], "z": [1e307, 1e307]}],
+    # cells' n, like the numbers above, is plain ASCII without "_"
+    ["cells", "1_0"],
+    # a subcommand's parser refuses an unknown option
+    ["cells", "3", "--bogus"],
+    # limit takes n <= 64
+    ["limit", "--path", ",".join("t^{}".format(k) for k in range(65))],
+    ["limit", "--form", ",".join(["1"] * 65)],
 ]
 
 
@@ -253,6 +260,19 @@ def test_invalid_input_exits_2(capsys, tmp_path, argv):
     assert code == 2
     assert "error" in json.loads(err)
     assert out == "" and err.count("\n") == 1
+
+
+def test_limit_refuses_n_past_the_cap_before_any_work(capsys, monkeypatch):
+    # psi_limit, the first step past parsing, is stubbed to raise an error
+    # run does not catch: n = 65 never reaches it, and n = 64 does
+    from geomlim import limits
+
+    monkeypatch.setattr(limits, "psi_limit", lambda path: {}[path.n])
+    for option in ("--path", "--form"):
+        assert run(capsys, "limit", option, ",".join(["1"] * 65)) == (
+            2, "", '{"error": "limit needs n <= 64"}\n')
+        with pytest.raises(KeyError, match="64"):
+            cli.run(["limit", option, ",".join(["1"] * 64)])
 
 
 def test_result_holding_nan_array_exits_2(capsys, monkeypatch):
@@ -338,12 +358,27 @@ def test_every_n3_signature_has_a_class(capsys):
     assert all("class_3d" in c for c in json.loads(out)["cells"])
 
 
-@pytest.mark.parametrize("argv", [["-h"], ["cells", "--help"]])
+HELP_ARGVS = [["-h"], ["cells", "--help"], ["limit", "-h"], ["heis", "-h"],
+              ["algebra", "-h"], ["heis", "dev", "-h"],
+              ["algebra", "idempotents", "-h"]]
+
+
+def check_help(argv, out):
+    """out, argv's help page, starts with the usage line of its own parser,
+    "geomlim <words>", and a page of commands or operations lists them."""
+    words = tuple(argv[:-1])
+    assert out.startswith(" ".join(["usage: geomlim", *words]) + " ")
+    assert {(): "{limit,poset,cells,heis,regen,algebra}",
+            ("heis",): "{classify,dev}",
+            ("algebra",): "{mul,conj,norm,inv,idempotents}"}.get(
+                words, "") in out
+
+
+@pytest.mark.parametrize("argv", HELP_ARGVS)
 def test_help_exits_0(capsys, argv):
     code, out, _ = run(capsys, *argv)
-    assert code == 0 and out.startswith("usage:")
-    if argv == ["-h"]:
-        assert "{limit,poset,cells,heis,regen,algebra}" in out
+    assert code == 0
+    check_help(argv, out)
 
 
 @pytest.mark.parametrize("argv, default", [
@@ -390,7 +425,7 @@ def test_cells_command(capsys):
     assert out.startswith("digraph")
 
 
-def test_heis_commands(capsys, tmp_path):
+def test_heis_commands(capsys, monkeypatch, tmp_path):
     f = tmp_path / "rep.json"
     f.write_text(json.dumps({"x": [0, 0], "y": [1, 0], "z": [0, 1]}))
     code, out, _ = run(capsys, "heis", "classify", "--input", str(f))
@@ -410,6 +445,13 @@ def test_heis_commands(capsys, tmp_path):
     bad.write_text(json.dumps({"x": [1, 0], "y": [0, 1], "z": [0, 0]}))
     code, _, err = run(capsys, "heis", "classify", "--input", str(bad))
     assert code == 2
+    # a Shear rep read from stdin is a holonomy with canonical coordinates
+    shear = '{"x": [1, 2], "y": [0.5, 1], "z": [3, 1]}'
+    monkeypatch.setattr("sys.stdin", io.StringIO(shear))
+    code, out, _ = run(capsys, "heis", "classify", "--input", "-")
+    doc = json.loads(out)
+    assert (code, doc["class"], doc["subtype"]) == (0, "Holonomy", "Shear")
+    assert "canonical" in doc
 
 
 def test_regen_command(capsys, tmp_path):
@@ -639,7 +681,7 @@ def test_csv_writer_is_the_per_row_join(rows):
 # from single-block splits (the first three) and before signatures and
 # sign classes became canonical tuples (the rest); the output must not
 # change.
-@pytest.mark.parametrize("argv, digest", [
+COMBINATORICS_DIGESTS = [
     (["cells", "4", "--poset"],
      "a7f33bc59730a6c469438145e7ddc8afc1c3c6781e4289c564d3d60c9fcf37f8"),
     (["poset", "3", "3"],
@@ -654,7 +696,10 @@ def test_csv_writer_is_the_per_row_join(rows):
      "bd5f572794149c7b6f12f2283e4e90fdadeacceecb85bcd1a776a68b32095809"),
     (["poset", "4", "4", "--format", "dot"],
      "87c1ebd74a5d31f0a0eb1657f81c685249a1a2c035debab1475530a687d1f752"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, digest", COMBINATORICS_DIGESTS)
 def test_combinatorics_output_unchanged(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
