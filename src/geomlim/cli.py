@@ -5,13 +5,13 @@ take an operation as their second word.  Exit codes: 0 success, 2
 invalid input (JSON error on stderr), 64 unknown subcommand.
 The library raises a ValueError for input outside its domain; ``run`` is
 the one place that turns it into exit 2, and the one place that writes
-command output.  Handlers return library values as they are (``cells``
-joins pieces of ``_json`` text, each written once), and ``run``
-renders them with the one JSON writer, ``_json``, which writes the bytes
-of the stdlib's ``json.dumps`` with sorted keys and a 2-space indent (an
-indent the stdlib serves only from its pure-Python encoder), numpy
-arrays through one hook, ``_tolist``.  The text formats come from the
-one DOT writer, ``_dot``, and the one CSV writer, ``_csv``.
+command output.  Handlers return library values as they are, in trees
+with string keys (``cells`` joins pieces of ``_json`` text, each written
+once), and ``run`` renders them with the one JSON writer, ``_json``: the
+bytes of the stdlib's ``json.dumps`` with sorted keys and a 2-space
+indent (an indent the stdlib serves only from its pure-Python encoder),
+numpy arrays through one hook, ``_tolist``.  The text formats come from
+the one DOT writer, ``_dot``, and the one CSV writer, ``_csv``.
 
 numpy, ``fractions`` and the library modules are imported by the
 functions that use them, so ``limit`` (whose Lie basis is built as
@@ -78,8 +78,9 @@ def _plain(kind):
 
 
 _INT, _FLOAT = _plain(int), _plain(float)
-# parse_grid's cap on the point count; heis dev evaluates n^2 points
+# the cap on the points of a --grid or a regen t_grid; heis dev takes n^2
 MAX_GRID_POINTS = 1001
+_GRID_CAP = "grid takes at most {} points".format(MAX_GRID_POINTS)
 # cmd_limit's cap on n; its lie_basis holds n^3 (n - 1) / 2 numbers
 MAX_LIMIT_N = 64
 
@@ -95,8 +96,7 @@ def parse_grid(text, log=False):
     if n < 1 or not np.isfinite([a, b]).all():
         raise InvalidInput("grid needs finite ends and at least one point")
     if n > MAX_GRID_POINTS:
-        raise InvalidInput(
-            "grid takes at most {} points".format(MAX_GRID_POINTS))
+        raise InvalidInput(_GRID_CAP)
     # a grid past the float range (a log grid, or a linear one whose step
     # overflows) reaches the library as inf or NaN, and the library
     # rejects it
@@ -150,29 +150,18 @@ def _float(x):
     return text
 
 
-def _key(k):
-    """A dict key as json writes it: a str, or the JSON text of a number,
-    bool or None, quoted."""
-    if isinstance(k, str):
-        return _STR(k)
-    if k is None or isinstance(k, (int, float)):
-        return _STR(_json(k))
-    raise TypeError("keys must be str, int, float, bool or None, not "
-                    + k.__class__.__name__)
-
-
 def _json(doc, pad="\n"):
     """The text of json.dumps(doc, sort_keys=True, indent=2,
-    allow_nan=False, default=_tolist), byte for byte and with its errors.
-    pad is the newline and indent of doc's own line; a list of one leaf
-    type is written by one join.  It does not detect cycles: handlers
-    return trees."""
+    allow_nan=False, default=_tolist), byte for byte and with its errors,
+    for the trees handlers return: a key that is not a string raises a
+    TypeError, and cycles are not detected.  pad is the newline and indent
+    of doc's own line; a list of one leaf type is written by one join."""
     if isinstance(doc, dict):
         if not doc:
             return "{}"
         inner = pad + "  "
         return "{" + inner + ("," + inner).join([
-            _key(k) + ": " + _json(v, inner)
+            _STR(k) + ": " + _json(v, inner)
             for k, v in sorted(doc.items())]) + pad + "}"
     if isinstance(doc, (list, tuple)):
         if not doc:
@@ -363,6 +352,8 @@ def _regen_job(doc):
         raise TypeError("kind and D_path must be strings")
     if t_grid is not None:
         _numbers(t_grid, "t_grid must be a list of numbers")
+        if len(t_grid) > MAX_GRID_POINTS:
+            raise InvalidInput(_GRID_CAP)
     D_path, V = parse_monomial_path(D_path), doc["vertices"]
     Q = regeneration.Parallelogram(V)
     _numbers(itertools.chain(*V), "vertices must be pairs of numbers")

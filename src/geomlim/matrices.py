@@ -105,9 +105,6 @@ class AlgMatrix:
         return AlgMatrix._wrap(self.re - other.re, self.im - other.im,
                                self.delta)
 
-    def __neg__(self):
-        return AlgMatrix._wrap(-self.re, -self.im, self.delta)
-
     def __matmul__(self, other):
         self._check(other)
         return AlgMatrix._wrap(
@@ -117,14 +114,6 @@ class AlgMatrix:
         )
 
     def __mul__(self, s):
-        if isinstance(s, AlgScalar):
-            if s.delta != self.delta:
-                raise DeltaMismatch("delta mismatch")
-            return AlgMatrix._wrap(
-                s.re * self.re + self.delta * s.im * self.im,
-                s.re * self.im + s.im * self.re,
-                self.delta,
-            )
         s = float(s)
         return AlgMatrix._wrap(s * self.re, s * self.im, self.delta)
 

@@ -28,6 +28,11 @@ def test_closure_counts():
     # the closed form against the fiber recursion
     for n in range(1, 13):
         assert cells.closure_cell_counts(n) == lemmas.fiber_cell_counts(n)
+    # the counts start at n = 1, the cells at n = 2
+    with pytest.raises(ValueError, match="need n >= 1"):
+        cells.closure_cell_counts(0)
+    with pytest.raises(ValueError, match="need n >= 2"):
+        cells.enumerate_cells(1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -50,6 +55,8 @@ def test_cell_canonicalization():
     assert a.dim == 1
     with pytest.raises(ValueError):
         Cell([(0,), (2,)], {0: 1, 2: 1})
+    with pytest.raises(ValueError, match="signs must be"):
+        Cell([(0, 1)], [1, 0])
 
 
 def test_cell_signature():
@@ -68,6 +75,8 @@ def test_degeneration_relation():
     assert cells.degeneration_relation(edge, vertex)
     assert cells.degeneration_relation(top, vertex)
     assert not cells.degeneration_relation(edge, top)
+    with pytest.raises(ValueError, match="different n"):
+        cells.degeneration_relation(top, Cell([(0, 1)], [1, 1]))
     # order of blocks matters: (2),(0,1) does not refine (0,1),(2)
     other = Cell([(2,), (0, 1)], {0: 1, 1: 1, 2: 1})
     assert not cells.degeneration_relation(edge, other)

@@ -247,6 +247,13 @@ INVALID_ARGVS = [
     # limit takes n <= 64
     ["limit", "--path", ",".join("t^{}".format(k) for k in range(65))],
     ["limit", "--form", ",".join(["1"] * 65)],
+    # a job's t_grid takes at most 1001 points, as --grid does
+    ["regen", "--input", dict(JOB, t_grid=[10.0] * 1002)],
+    # cells takes n >= 2; regen needs t values, from a t_grid or --grid,
+    # and a string kind
+    ["cells", "1"],
+    ["regen", "--input", JOB],
+    ["regen", "--input", dict(JOB, kind=5, t_grid=[10])],
 ]
 
 
@@ -273,6 +280,21 @@ def test_limit_refuses_n_past_the_cap_before_any_work(capsys, monkeypatch):
             2, "", '{"error": "limit needs n <= 64"}\n')
         with pytest.raises(KeyError, match="64"):
             cli.run(["limit", option, ",".join(["1"] * 64)])
+
+
+def test_regen_refuses_a_t_grid_past_the_cap_before_any_work(
+        capsys, monkeypatch, tmp_path):
+    from geomlim import regeneration
+
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(dict(JOB, t_grid=[10.0] * 1001)))
+    assert run(capsys, "regen", "--input", str(path))[0] == 0
+    # regenerate_trace is stubbed to raise an error run does not catch
+    monkeypatch.setattr(regeneration, "regenerate_trace",
+                        lambda kind, D_path, Q, t_grid: {}[len(t_grid)])
+    path.write_text(json.dumps(dict(JOB, t_grid=[10.0] * 1002)))
+    assert run(capsys, "regen", "--input", str(path)) == (
+        2, "", '{"error": "grid takes at most 1001 points"}\n')
 
 
 def test_result_holding_nan_array_exits_2(capsys, monkeypatch):
@@ -611,7 +633,7 @@ def _dumps(doc):
 def _json_docs():
     """Documents of the kinds handlers return and some they do not: str,
     int, float, bool and None leaves, numpy arrays and scalars, lists and
-    tuples, and dicts keyed by one kind of JSON key."""
+    tuples, and dicts with string keys."""
     import numpy as np
     from hypothesis.extra import numpy as hnp
 
@@ -630,11 +652,9 @@ def _json_docs():
         # lists of one leaf type, and a non-finite float among finite ones
         st.lists(floats), st.lists(ints), st.lists(strings),
         st.lists(st.floats()))
-    keys = [strings, ints, finite, st.booleans(), st.none()]
     return st.recursive(leaves, lambda docs: st.one_of(
         st.lists(docs, max_size=4), st.lists(docs, max_size=4).map(tuple),
-        st.sampled_from(keys).flatmap(
-            lambda k: st.dictionaries(k, docs, max_size=4))), max_leaves=24)
+        st.dictionaries(strings, docs, max_size=4)), max_leaves=24)
 
 
 def test_json_writer_is_the_stdlib_encoder():
@@ -652,11 +672,17 @@ def test_json_writer_refuses_non_finite_floats(bad):
     import numpy as np
 
     for doc in (bad, [1.0, bad], [1, bad], np.float64(bad),
-                np.array([[0.5, bad]]), {"x": (2.0, {"y": bad})}, {bad: 1}):
+                np.array([[0.5, bad]]), {"x": (2.0, {"y": bad})}):
         got = _outcome(cli._json, doc)
         assert got == _outcome(_dumps, doc)
         assert got[0] is ValueError and got[1].startswith(
             "Out of range float values are not JSON compliant: ")
+
+
+def test_json_writer_refuses_keys_that_are_not_strings():
+    for doc in ({1: 2}, {"a": {None: 1}}):
+        with pytest.raises(TypeError):
+            cli._json(doc)
 
 
 def _csv_per_row(head, rows):

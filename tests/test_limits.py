@@ -35,6 +35,8 @@ def test_monomial_diagonal():
     for c in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError):
             MonomialDiagonal([(c, 1), (1.0, 0)])
+    with pytest.raises(ValueError, match="at least two"):
+        MonomialDiagonal([(1.0, 0)])
 
 
 @pytest.mark.parametrize("t", [0, -10, math.inf, math.nan, 1e200])
@@ -74,6 +76,8 @@ def test_rp1_negligible_coordinate_is_zero():
     assert lim.rp1(-5e-324, 1.0) == (0.0, 1.0)
     assert lim.rp1(1.0, -lim.RP1_TINY / 2) == (1.0, 0.0)
     assert lim.rp1(-1e-200, 1.0) == (1e-200, -1.0)
+    with pytest.raises(ValueError, match="not a projective point"):
+        lim.rp1(0, 0)
 
 
 def test_psi_limit_exact():
@@ -274,6 +278,14 @@ def test_ordered_partition_refuses_non_finite_points(x):
         OrderedPartition([[0, 1]], [[1.0, x]])
 
 
+@pytest.mark.parametrize("blocks, points, error", [
+    ([[0, 1]], [[1.0]], "point size"), ([[0, 1]], [[1.0, 0.0]], "nonzero"),
+    ([[0, 2]], [[1.0, 1.0]], "partition")])
+def test_ordered_partition_refuses_malformed_points(blocks, points, error):
+    with pytest.raises(ValueError, match=error):
+        OrderedPartition(blocks, points)
+
+
 @pytest.mark.parametrize("n", [1, -2, 0, True, 2.0, "3", None])
 def test_limit_point_refuses_n_below_two_or_not_integer(n):
     with pytest.raises(ValueError, match="n must be an integer >= 2, got "
@@ -284,6 +296,9 @@ def test_limit_point_refuses_n_below_two_or_not_integer(n):
 def test_limit_point_takes_numpy_integer_n():
     comp = {(0, 1): (1.0, 0.0), (0, 2): (1.0, 0.0), (1, 2): (1.0, 0.0)}
     assert LimitPoint(np.int64(3), comp) == LimitPoint(3, comp)
+    del comp[(1, 2)]
+    with pytest.raises(ValueError, match="missing component"):
+        LimitPoint(3, comp)
 
 
 def test_so_basis_preserves_form():
@@ -412,6 +427,13 @@ def test_numeric_vs_exact_limit():
         assert exact.principal_angle_distance(numeric) <= 1e-4
 
 
+def test_subspaces_of_different_dimension_are_a_right_angle_apart():
+    S = lim.so_basis([1.0, 2.0, 3.0])
+    T = LieSubspace(S.basis[:2])
+    assert S.principal_angle_distance(T) == math.pi / 2
+    assert T.principal_angle_distance(S) == math.pi / 2
+
+
 def test_flag_signature_normalization():
     F = FlagSignature([(1, 2), (0, 2), (1, 1)])
     assert F.pairs == [(1, 2), (2, 0), (1, 1)]
@@ -438,8 +460,9 @@ def test_classify_3d_table():
         FlagSignature([(1, 0), (1, 1)])) == "Mink"
     assert lim.classify_limit_group_3d(
         FlagSignature([(1, 0), (1, 0), (1, 0)])) == "Heis"
-    with pytest.raises(lim.UnknownSignature):
-        lim.classify_limit_group_3d(FlagSignature([(2, 2)]))
+    for pairs in ([(2, 2)], [(0, 3)]):
+        with pytest.raises(lim.UnknownSignature):
+            lim.classify_limit_group_3d(FlagSignature(pairs))
 
 
 def test_is_limit_of():
@@ -686,6 +709,11 @@ def test_flag_signature_takes_integer_values():
 def test_so_basis_needs_two_finite_nonzero_entries(J):
     with pytest.raises(ValueError):
         lim.so_basis(J)
+
+
+def test_so_basis_refuses_a_zero_entry():
+    with pytest.raises(lim.ZeroEigenvalue):
+        lim.so_basis([1, 0, 2])
 
 
 @pytest.mark.parametrize("basis", [

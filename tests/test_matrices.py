@@ -117,6 +117,18 @@ def test_inverse_singular():
         mat.inverse(A)
 
 
+def test_alg_matrix_refuses_mismatched_grids_and_operands():
+    with pytest.raises(mat.ShapeMismatch):
+        AlgMatrix(np.zeros((2, 3)))
+    with pytest.raises(mat.ShapeMismatch):
+        AlgMatrix(np.zeros((2, 2)), np.zeros((3, 3)))
+    A = AlgMatrix(np.eye(2), delta=1.0)
+    with pytest.raises(alg.DeltaMismatch):
+        A @ AlgMatrix(np.eye(2), delta=-1.0)
+    with pytest.raises(mat.ShapeMismatch):
+        A @ AlgMatrix(np.eye(3), delta=1.0)
+
+
 def test_conjugator_moves_representations():
     # C^-1 iota_delta(A) C has the iota_mu block structure with scaled im
     delta, mu = 1.0, 4.0

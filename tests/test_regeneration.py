@@ -120,6 +120,8 @@ def test_parallelogram_validation():
         Parallelogram([(1, 0), (0, 1), (-1, 0.5), (0, -1.5)])
     with pytest.raises(ValueError):
         Parallelogram([(1, 0), (2, 0), (-1, 0), (-2, 0)])  # collinear
+    with pytest.raises(ValueError, match="four"):
+        Parallelogram([(1, 0), (0, 1), (-1, 0)])
     sq = Parallelogram.square(0.2)
     assert np.allclose(sq.vertices.sum(axis=0), 0)
 
@@ -263,6 +265,10 @@ def test_regenerate_trace_rejects_bad_paths():
     flat = MonomialDiagonal([(1.0, 0), (1.0, 0), (1.0, 0)])
     with pytest.raises(ValueError):
         regen.regenerate_trace("hyperbolic", flat,
+                               Parallelogram.square(0.2), [10.0])
+    with pytest.raises(ValueError, match="three entries"):
+        regen.regenerate_trace("hyperbolic",
+                               MonomialDiagonal(heis_path().entries[1:]),
                                Parallelogram.square(0.2), [10.0])
     # the euclidean fiber has no divergence requirement
     out = regen.regenerate_trace("euclidean", flat,
