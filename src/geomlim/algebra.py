@@ -2,7 +2,9 @@
 
 Elements are a + lambda*b where lambda squares to a real parameter delta.
 Negative delta gives (a copy of) the complex numbers, delta = 0 the dual
-numbers, positive delta the split-complex numbers R+R.
+numbers, positive delta the split-complex numbers R+R.  An AlgScalar has
+no operators: mul, conj, norm and inv combine scalars, and two scalars
+are equal when their (re, im, delta) are.
 
 x is a zero divisor when |norm(x)| <= 1e-12 (|a| + |b|)^2, or its inverse
 is past the float range: the test is of degree 2, as the norm is, so x
@@ -11,7 +13,6 @@ neither the norm nor the tolerance over- or underflows.
 """
 
 import math
-import numbers
 
 
 class DeltaMismatch(ValueError):
@@ -39,9 +40,6 @@ class AlgScalar:
     """An element re + lambda*im of the algebra with lambda^2 = delta."""
 
     __slots__ = ("re", "im", "delta")
-    # numpy operands defer to the methods below, so an array or np.bool_
-    # on the left is refused as it is on the right
-    __array_ufunc__ = None
 
     def __init__(self, re, im=0.0, delta=0.0):
         self.re = float(re)
@@ -58,54 +56,14 @@ class AlgScalar:
     def __repr__(self):
         return "AlgScalar({}, {}, delta={})".format(self.re, self.im, self.delta)
 
-    def _check(self, other):
-        if self.delta != other.delta:
-            raise DeltaMismatch(
-                "delta mismatch: {} vs {}".format(self.delta, other.delta))
-
-    def _coerce(self, other):
-        """other in this algebra: an AlgScalar of the same delta, or a
-        real number (numbers.Real) as re + lambda*0."""
-        if isinstance(other, AlgScalar):
-            self._check(other)
-            return other
-        if isinstance(other, numbers.Real):
-            return AlgScalar(other, 0.0, self.delta)
-        raise TypeError("expected a scalar or AlgScalar")
-
     def __eq__(self, other):
-        if isinstance(other, AlgScalar) and other.delta != self.delta:
-            return False
-        if not isinstance(other, (AlgScalar, numbers.Real)):
+        if not isinstance(other, AlgScalar):
             return NotImplemented
-        other = self._coerce(other)
-        return self.re == other.re and self.im == other.im
+        return (self.re, self.im, self.delta) == (other.re, other.im,
+                                                  other.delta)
 
     def __hash__(self):
         return hash((self.re, self.im, self.delta))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return AlgScalar(self.re + other.re, self.im + other.im, self.delta)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return AlgScalar(-self.re, -self.im, self.delta)
-
-    def __sub__(self, other):
-        return self + -self._coerce(other)
-
-    def __rsub__(self, other):
-        return -self + self._coerce(other)
-
-    def __mul__(self, other):
-        return mul(self, self._coerce(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return mul(self, inv(self._coerce(other)))
 
 
 def mul(x, y):

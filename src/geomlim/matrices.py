@@ -377,11 +377,3 @@ def pairing_coordinate_change(z_re, z_im):
     v = x - y
     v[:-1] *= -1.0
     return x + y, v
-
-
-def pairing_coordinate_change_inverse(phi, v):
-    """Inverse of pairing_coordinate_change."""
-    phi = np.asarray(phi, dtype=float)
-    v = np.array(v, dtype=float)
-    v[:-1] *= -1.0
-    return 0.5 * (phi + v), 0.5 * (phi - v)

@@ -1,7 +1,6 @@
 import copy
 import math
 import pickle
-from decimal import Decimal
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -41,8 +40,6 @@ def test_known_products():
 def test_delta_mismatch():
     with pytest.raises(alg.DeltaMismatch):
         alg.mul(scal(1, 0, -1), scal(1, 0, 1))
-    with pytest.raises(alg.DeltaMismatch):
-        scal(1, 0, -1) + scal(1, 0, 1)
     # comparison across algebras is defined: the elements differ
     assert not scal(1, 0, -1) == scal(1, 0, 1)
     assert scal(1, 0, -1) != scal(1, 0, 1)
@@ -139,43 +136,23 @@ def test_alg_scalar_survives_deepcopy_and_pickle(protocol):
         assert repr(y) == repr(x) == "AlgScalar(-0.0, 2.5, delta=-1.0)"
 
 
-def test_dunder_arithmetic_matches_functions():
-    x, y = scal(1, 2, -1.0), scal(3, -1, -1.0)
-    assert close(x * y, alg.mul(x, y))
-    assert close(x + y, scal(4, 1, -1.0))
-    assert close(x - y, scal(-2, 3, -1.0))
-    assert close(2.0 * x, scal(2, 4, -1.0))
-
-
-def _outcome(fn):
-    try:
-        r = fn()
-    except Exception as exc:  # the exception type is part of the outcome
-        return type(exc)
-    return (r.re, r.im, r.delta) if isinstance(r, AlgScalar) else r
-
-
-def test_coercion_accepts_only_real_numbers():
+def test_scalars_compare_by_value_and_have_no_operators():
     np = pytest.importorskip("numpy")
-    x = scal(1.5, -2, -1.0)
-    ops = [lambda o: x + o, lambda o: o + x, lambda o: x - o,
-           lambda o: o - x, lambda o: x * o, lambda o: o * x,
-           lambda o: x / o, lambda o: x == o, lambda o: o == x]
-    # a numbers.Real operand acts as re + lambda*0 of the same algebra
-    for o in (3, True, 0.25, np.float64(2.5), np.int64(-4)):
-        r = scal(float(o), 0, -1.0)
-        assert [_outcome(lambda: op(o)) for op in ops] \
-            == [_outcome(lambda: op(r)) for op in ops]
-    assert _outcome(lambda: x + 3) == (4.5, -2.0, -1.0)
-    assert _outcome(lambda: np.int64(-4) * x) == (-6.0, 8.0, -1.0)
-    # anything else is refused on either side and compares unequal
-    for o in ("1.5", b"1", 1 + 2j, Decimal("1.5"), np.bool_(True),
-              np.array(2.0), [1.0], None):
-        for op in ops[:7]:
-            with pytest.raises(TypeError, match="expected a scalar"):
-                op(o)
-        assert x != o and not o == x
-    assert not AlgScalar(1.0) == "1"
+    x = scal(3.0, 0, 0.0)
+    assert x == scal(3, -0.0, 0) and hash(x) == hash(scal(3, -0.0, 0))
+    # a scalar is never a real number, so == agrees with hashing
+    for o in (3, 3.0, np.float64(3.0), "3"):
+        assert x != o and o != x and not x == o and not o == x
+    assert (3 in {x}) == (x == 3)
+    # mul, conj, norm and inv are the arithmetic
+    for o in (x, 2.0, np.float64(2.0), np.array([2.0])):
+        for op in (lambda: x + o, lambda: o + x, lambda: x - o,
+                   lambda: o - x, lambda: x * o, lambda: o * x,
+                   lambda: x / o, lambda: o / x):
+            with pytest.raises(TypeError):
+                op()
+    with pytest.raises(TypeError):
+        -x
 
 
 # c = 10^e for e in [-300, 300], where norm(c x) under- or overflows

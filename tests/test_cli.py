@@ -831,11 +831,11 @@ def test_regen_square_limit_is_the_translation(capsys, tmp_path):
     assert doc["limit_in_heis"] is True
 
 
-# Which of numpy and fractions are loaded after each step.
+# Which of fractions, numbers and numpy are loaded after each step.
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 def loaded():
-    return [m for m in ("fractions", "numpy") if m in sys.modules]
+    return [m for m in ("fractions", "numbers", "numpy") if m in sys.modules]
 out = {}
 import geomlim
 out["geomlim"] = loaded()
@@ -862,7 +862,8 @@ def _probe(*argvs):
 
 
 def test_combinatorics_and_algebra_do_not_import_numpy():
-    # algebra runs first: poset and cells load fractions through limits
+    # algebra runs first: poset and cells load fractions (and with it
+    # numbers) through limits
     got = _probe(["algebra", "mul", "--a", '{"re":1,"im":2,"delta":-1}',
                   "--b", '{"re":3,"im":-1,"delta":-1}'],
                  ["algebra", "idempotents", "--delta", "1"],
@@ -871,14 +872,15 @@ def test_combinatorics_and_algebra_do_not_import_numpy():
     assert got.pop('algebra mul --a {"re":1,"im":2,"delta":-1} '
                    '--b {"re":3,"im":-1,"delta":-1}') == [0, []]
     assert got.pop("algebra idempotents --delta 1") == [0, []]
-    assert got == {"poset 1 3": [0, ["fractions"]],
-                   "cells 3 --poset": [0, ["fractions"]]}
-    # limit builds its Lie basis as lists, so it loads fractions only
+    assert got == {"poset 1 3": [0, ["fractions", "numbers"]],
+                   "cells 3 --poset": [0, ["fractions", "numbers"]]}
+    # limit builds its Lie basis as lists, so it loads no numpy
     got = _probe(["limit", "--form", "1,1,-1", "--conj", "t^2,t,1",
                   "--reverse"], ["limit", "--path", "2*t^-1,t^1/2,3"])
     assert got["limit --form 1,1,-1 --conj t^2,t,1 --reverse"] == [
-        0, ["fractions"]]
-    assert got["limit --path 2*t^-1,t^1/2,3"] == [0, ["fractions"]]
+        0, ["fractions", "numbers"]]
+    assert got["limit --path 2*t^-1,t^1/2,3"] == [
+        0, ["fractions", "numbers"]]
 
 
 def test_package_attributes_load_on_first_use():

@@ -179,7 +179,17 @@ def test_limit_point_is_read_only_and_decoded_once():
     assert P == Q and P is not Q
     assert P.blocks == [(0,), (1, 2), (3,)]
     assert lim.eta(L).dim == 6
-    assert copy.deepcopy(L) == L and pickle.loads(pickle.dumps(L)) == L
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_limit_point_survives_deepcopy_and_pickle(protocol):
+    L = lim.psi_limit(MonomialDiagonal([(1.0, 2), (-2.0, 1), (3.0, 1),
+                                        (0.5, 0)]))
+    for M in (copy.deepcopy(L), pickle.loads(pickle.dumps(L, protocol))):
+        assert type(M) is LimitPoint and M == L
+        with pytest.raises(TypeError):
+            M.components[(0, 1)] = (0.0, 1.0)
+        assert lim.decode_partition(M) == lim.decode_partition(L)
 
 
 @pytest.mark.parametrize("coeffs, ok", [
