@@ -48,7 +48,7 @@ class HeisRep:
 
     def __repr__(self):
         return "HeisRep(x={}, y={}, z={})".format(
-            tuple(self.x), tuple(self.y), tuple(self.z))
+            self.x.tolist(), self.y.tolist(), self.z.tolist())
 
     def bracket(self):
         """x1 y2 - x2 y1, computed without overflow in its products; a

@@ -4,9 +4,10 @@ A diagonal form path diag(c_i t^{e_i}) determines, as t -> +infinity, a
 point of a torus of projective lines (one per coordinate pair) and an
 ordered partition of the coordinates by exponent, largest first, with the
 coefficients as block points.  psi_limit builds both in one pass over the
-pairs i < j, ranking the exponents exactly as integers; a point built
-from components (encode_partition, user code) is decoded instead.  The
-limit Lie algebra has one element per coordinate pair, so its elements
+pairs i < j, ranking the exponents exactly as integers, and
+encode_partition is psi_limit of the path scaling block k by t^-k.  Like
+psi_limit, OrderedPartition and decode_partition refuse ratios past 2^900.
+The limit Lie algebra has one element per coordinate pair, so its elements
 are orthogonal: eta and so_basis build it without LieSubspace's pairwise
 test, and eta_lists writes eta's basis as nested lists.  Likewise
 psi_limit's partition and the flag signatures skip the checks of the
@@ -141,6 +142,8 @@ class LimitPoint:
             if (i, j) not in components:
                 raise ValueError("missing component ({}, {})".format(i, j))
             comp[(i, j)] = rp1(*components[(i, j)])
+        if len(components) != len(comp):
+            raise ValueError("components must be the pairs i < j only")
         self.components = types.MappingProxyType(comp)
         self._partition = None
 
@@ -175,8 +178,8 @@ def _scaled(p):
 
 class OrderedPartition:
     """Ordered blocks of {0..n-1}, dominant first, each carrying a
-    projective point with all entries nonzero (canonical scaling: the
-    max-magnitude entry is +1)."""
+    projective point, scaled so its max-magnitude entry is +1, with all
+    entries at least RP1_TINY in magnitude (psi_limit's domain)."""
 
     def __init__(self, blocks, block_points):
         self.blocks = [tuple(sorted(b)) for b in blocks]
@@ -185,11 +188,13 @@ class OrderedPartition:
             p = [float(x) for x in p]
             if len(p) != len(b):
                 raise ValueError("point size does not match block size")
-            if any(x == 0 for x in p):
-                raise ValueError("block point entries must be nonzero")
             if not all(map(math.isfinite, p)):
                 raise ValueError("block point entries must be finite")
-            self.block_points.append(_scaled(p))
+            p = _scaled(p) if any(p) else p
+            if min(map(abs, p)) < RP1_TINY:
+                raise ValueError("block point entries must be nonzero and "
+                                 "within a factor 2^900 of each other")
+            self.block_points.append(p)
         cover = sorted(i for b in self.blocks for i in b)
         if cover != list(range(len(cover))):
             raise ValueError("blocks must partition the index set")
@@ -520,17 +525,12 @@ def decode_partition(L):
         sorted(range(n), key=lambda i: -w[i]), key=w.__getitem__)]
     points = []
     for b in blocks:
-        anchor = b[0]
-        vals = {anchor: 1.0}
-        for i in b[1:]:
-            x, y = L.components[(anchor, i)]
-            vals[i] = y / x
-        pt = [vals[i] for i in b]
+        pt = [1.0] + [y / x for x, y in (comp[(b[0], i)] for i in b[1:])]
         # coherence of all in-block ratios with the anchored values
-        for i, j in itertools.combinations(b, 2):
-            (g0, g1), (w0, w1) = L.components[(i, j)], rp1(vals[i], vals[j])
-            # relative 1e-9, absolute 1e-12 (as np.allclose); a NaN fails
-            if not (abs(g0 - w0) <= 1e-12 + 1e-9 * abs(w0)
+        for (i, u), (j, v) in itertools.combinations(zip(b, pt), 2):
+            (g0, g1), (w0, w1) = comp[(i, j)], rp1(u, v)
+            # rtol 1e-9, atol 1e-12 as np.allclose; a NaN or a zero w fails
+            if not (w0 and w1 and abs(g0 - w0) <= 1e-12 + 1e-9 * abs(w0)
                     and abs(g1 - w1) <= 1e-12 + 1e-9 * abs(w1)):
                 raise Inconsistent(
                     "in-block ratio ({}, {}) is incoherent".format(i, j))
@@ -540,23 +540,12 @@ def decode_partition(L):
 
 
 def encode_partition(P):
-    """Inverse of decode_partition."""
-    block_of = {}
-    vals = {}
-    for bi, (b, pt) in enumerate(zip(P.blocks, P.block_points)):
-        for i, v in zip(b, pt):
-            block_of[i] = bi
-            vals[i] = v
-    comp = {}
-    for i, j in itertools.combinations(range(P.n), 2):
-        a, b = block_of[i], block_of[j]
-        if a == b:
-            comp[(i, j)] = (vals[i], vals[j])
-        elif a < b:
-            comp[(i, j)] = (1.0, 0.0)
-        else:
-            comp[(i, j)] = (0.0, 1.0)
-    return LimitPoint(P.n, comp)
+    """Inverse of decode_partition: psi_limit of the path whose entry i is
+    (v, -k) for i in block k with point value v, so the point carries
+    the partition that decode_partition returns."""
+    entry = {i: (v, -k) for k, b in enumerate(P.blocks)
+             for i, v in zip(b, P.block_points[k])}
+    return psi_limit(MonomialDiagonal([entry[i] for i in range(P.n)]))
 
 
 def flag_signature(P):

@@ -96,18 +96,13 @@ OUTSIDE_DISK = "point outside the unit disk"
 OUT_OF_RANGE = "form leaves the float range"
 
 
-def _in_disk(r2):
-    """Is each squared radius of a stack inside the unit disk?"""
-    return r2 < 1.0
-
-
 def _lift(kind, p):
     """Lift model points, a (..., 2) stack, onto the quadric of the
     geometry."""
     p = np.asarray(p, dtype=float)
     r2 = _dot(p, p)
     if kind == "hyperbolic":
-        if not _in_disk(r2).all():
+        if not (r2 < 1.0).all():
             raise OutsideDomain(OUTSIDE_DISK)
         s = np.sqrt(1.0 - r2)
     else:
@@ -275,7 +270,7 @@ def regenerate_trace(kind, D_path, Q, t_grid):
     with np.errstate(over="ignore", invalid="ignore"):
         if kind == "hyperbolic":
             P = m.to_model(V[:, None])  # (4, T, 2)
-            inside = _in_disk(_dot(P, P)).all(axis=0)
+            inside = (_dot(P, P) < 1.0).all(axis=0)
         Qm = m.form()
         valid = inside & np.isfinite(Qm).all(axis=(-2, -1))
     if not valid.any():

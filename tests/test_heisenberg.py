@@ -48,6 +48,15 @@ def make_rep(kind="generic"):
     raise ValueError(kind)
 
 
+def test_repr_evaluates_to_the_same_coordinates():
+    r = HeisRep([0.0, -1.5], [1e-300, 2.0], [3, 0.1])
+    text = repr(r)
+    assert "np." not in text
+    s = eval(text, {"HeisRep": HeisRep})
+    for a, b in ((s.x, r.x), (s.y, r.y), (s.z, r.z)):
+        assert a.tolist() == b.tolist()
+
+
 def test_is_representation():
     assert heis.is_representation(HeisRep([1, 2], [2, 4], [0, 1]))
     assert not heis.is_representation(HeisRep([1, 0], [0, 1], [0, 0]))

@@ -114,6 +114,70 @@ def test_encode_decode_roundtrip(n):
             assert np.allclose(a, b, rtol=1e-9)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_encode_partition_components_are_their_definition(n, monkeypatch):
+    # random_partition's draws from a generator of this test's own, so
+    # the module generator's later draws are unchanged
+    monkeypatch.setitem(globals(), "rng", np.random.default_rng(n))
+    for _ in range(50):
+        P = random_partition(n)
+        block = {i: k for k, b in enumerate(P.blocks) for i in b}
+        value = {i: v for b, pt in zip(P.blocks, P.block_points)
+                 for i, v in zip(b, pt)}
+        L = lim.encode_partition(P)
+        assert list(L.components) == list(
+            itertools.combinations(range(n), 2))
+        for (i, j), got in L.components.items():
+            if block[i] == block[j]:
+                assert got == lim.rp1(value[i], value[j])
+            else:
+                assert got == ((1.0, 0.0) if block[i] < block[j]
+                               else (0.0, 1.0))
+
+
+@st.composite
+def wide_partitions(draw):
+    """Partitions of 2 to 8 indices with point entries of magnitude
+    1e-300 to 1e300, so some points span more than 2^900."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    idx = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=n - 1))))
+    blocks = [idx[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+    size = st.floats(min_value=1e-300, max_value=1e300)
+    sign = st.sampled_from([-1.0, 1.0])
+    return blocks, [[draw(sign) * draw(size) for _ in b] for b in blocks]
+
+
+@settings(deadline=None, max_examples=300)
+@given(wide_partitions())
+@example(([[0, 1, 2]], [[1e300, 1e-300, 1.0]]))
+@example(([[1], [0, 2]], [[-3.0], [1.0, -(2.0 ** -900)]]))
+def test_every_accepted_partition_round_trips(partition):
+    try:
+        P = OrderedPartition(*partition)
+    except ValueError:
+        return
+    Q = lim.decode_partition(lim.encode_partition(P))
+    assert Q.blocks == P.blocks
+    for q, p in zip(Q.block_points, P.block_points):
+        assert all(abs(a - b) <= 1e-15 * abs(b) for a, b in zip(q, p))
+
+
+@pytest.mark.parametrize("coeffs", [
+    [1e-300, 1.0, 1e300], [2.0 ** -901, 1.0, 1.0], [1.0, -(2.0 ** -901), 1.0],
+    [1e300, 1e-300, 1.0],  # scaling by 1e300 underflows 1e-300 to 0.0
+    [2.0 ** -900, 1.0, 1.0], [2.0 ** -850, 2.0 ** -400, 1.0]])
+def test_ordered_partition_takes_the_points_psi_limit_takes(coeffs):
+    try:
+        want = lim.decode_partition(
+            lim.psi_limit(MonomialDiagonal.constant(coeffs)))
+    except ValueError:
+        with pytest.raises(ValueError, match="nonzero"):
+            OrderedPartition([[0, 1, 2]], [coeffs])
+        return
+    assert OrderedPartition([[0, 1, 2]], [coeffs]).blocks == want.blocks
+
+
 def test_decode_rejects_inconsistent():
     # 0 dominates 1, 1 dominates 2, but 2 dominates 0: a 3-cycle
     comp = {(0, 1): (1.0, 0.0), (1, 2): (1.0, 0.0), (0, 2): (0.0, 1.0)}
@@ -309,6 +373,28 @@ def test_limit_point_takes_numpy_integer_n():
     del comp[(1, 2)]
     with pytest.raises(ValueError, match="missing component"):
         LimitPoint(3, comp)
+
+
+def test_limit_point_refuses_components_of_other_keys():
+    comp = {(0, 1): (1.0, 0.0), (1, 0): (0.0, 1.0), (5, 9): (1.0, 1.0),
+            "junk": 3}
+    with pytest.raises(ValueError, match="pairs i < j only"):
+        LimitPoint(2, comp)
+    assert LimitPoint(2, {(0, 1): (1.0, 0.0)}).components == {
+        (0, 1): (1.0, 0.0)}
+
+
+def test_decode_refuses_anchored_ratios_rp1_takes_as_zero():
+    # the anchored values 2^-900 and 2^900 are 2^1800 apart, so rp1 makes
+    # (1, 2) the dominance [0 : 1], which (1e-13, 1) is within 1e-12 of
+    comp = {(0, 1): (1.0, 2.0 ** -900), (0, 2): (2.0 ** -900, 1.0),
+            (1, 2): (1e-13, 1.0)}
+    L = LimitPoint(3, comp)
+    with pytest.raises(lim.Inconsistent,
+                       match=re.escape("in-block ratio (1, 2) is incoherent")):
+        lim.decode_partition(L)
+    with pytest.raises(lim.Undecodable):
+        lim.eta(L)
 
 
 def test_so_basis_preserves_form():
