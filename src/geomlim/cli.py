@@ -16,20 +16,20 @@ the one DOT writer, ``_dot``, and the one CSV writer, ``_csv``.
 numpy, ``fractions`` and the library modules are imported by the
 functions that use them, so ``limit`` (whose Lie basis is built as
 lists), ``poset``, ``cells`` and ``algebra`` run without loading numpy,
-and ``algebra`` without ``fractions``.  A command line is parsed by
-the one parser of its row of ``COMMANDS``, kept for the process, which
-refuses an option the operation does not read; the help of ``geomlim``,
-``geomlim heis`` and ``geomlim algebra`` is a parser with one positional
-argument that lists the choices.
+and ``algebra`` without ``fractions``.  A plain command line is read
+straight from its row of ``COMMANDS``; any other (a help page, an
+abbreviated or repeated option, a value that starts with "-", a
+refusal) goes to the one argparse parser of its row, which refuses an
+option the operation does not read.  argparse is imported only then.
 """
 
-import argparse
 import functools
 import io
 import itertools
 import json
 import re
 import sys
+import types
 
 _TERM = re.compile(
     r"^\s*(?:(?P<coeff>[+-]?\d+(?:\.\d+)?)\s*(?:\*\s*(?=t))?)?(?P<t>t"
@@ -38,13 +38,6 @@ _TERM = re.compile(
 
 class InvalidInput(ValueError):
     """A command line or input document that breaks the CLI grammar."""
-
-
-class _Parser(argparse.ArgumentParser):
-    """Reports a bad command line as invalid input, not as usage text."""
-
-    def error(self, message):
-        raise InvalidInput(message)
 
 
 def parse_monomial_path(text):
@@ -409,8 +402,9 @@ def cmd_algebra(args):
 
 # The arguments every operation takes first.  Each row of COMMANDS is an
 # operation's handler, formats (the first is the default) and further
-# arguments, as add_argument calls in help order; heis and algebra hold a
-# table of rows, keyed by the operation, the second word.
+# arguments, as add_argument calls in help order (_read_plain knows their
+# keys: type, required, action "store_true" and help); heis and algebra
+# hold a table of rows, keyed by the operation, the second word.
 COMMON_ARGUMENTS = [("--out", {}), ("--format", {})]
 COMMANDS = {
     "limit": (cmd_limit, ("json",), [
@@ -439,38 +433,96 @@ COMMANDS = {
 }
 
 
+def _refuse(message):
+    raise InvalidInput(message)
+
+
 @functools.cache
 def _parser(words):
-    """The one parser "geomlim <words>" of the row ``words`` names: -h,
-    COMMON_ARGUMENTS and the row's arguments.  Built on first use, not at
-    import, since a process's first argparse parser imports ``locale``."""
-    parser = _Parser(prog=" ".join(["geomlim", *words]))
+    """The one argparse parser "geomlim <words>", kept for the process,
+    which reports a bad command line as invalid input, not as usage text:
+    -h, COMMON_ARGUMENTS and the arguments of the row words names or, for
+    a table of rows, one positional argument that lists them.  argparse is
+    imported here, by a process's first line that is not plain."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog=" ".join(["geomlim", *words]))
+    parser.error = _refuse
     row = functools.reduce(dict.__getitem__, words, COMMANDS)
-    for flag, options in COMMON_ARGUMENTS + row[2]:
-        parser.add_argument(flag, **options)
+    if isinstance(row, dict):
+        parser.add_argument("operation", choices=list(row),
+                            nargs=argparse.PARSER)
+    else:
+        for flag, options in COMMON_ARGUMENTS + row[2]:
+            parser.add_argument(flag, **options)
     return parser
+
+
+def _read_plain(arguments, words):
+    """The namespace argparse reads from words by arguments, a row's
+    add_argument calls, when each word is plain: a positional that does
+    not start with "-", an exact option given once with its value as the
+    next word (not starting with "-") or after "=" (not empty or "--"),
+    or a store_true flag without "=".  None for any other line, for a
+    missing argument and for a value its type refuses."""
+    args = {flag.lstrip("-"): False if "action" in kw else None
+            for flag, kw in arguments}
+    options = {flag: kw for flag, kw in arguments if flag[0] == "-"}
+    positionals = [flag for flag, _ in arguments if flag[0] != "-"]
+    words = iter(words)
+    for word in words:
+        if word[:1] != "-":
+            if not positionals:
+                return None
+            args[positionals.pop(0)] = word
+            continue
+        flag, eq, value = word.partition("=")
+        kw = options.pop(flag, None)  # so an option is given once
+        if kw is None or eq and ("action" in kw or value in ("", "--")):
+            return None
+        if "action" in kw:
+            value = True
+        elif not eq:
+            value = next(words, "-")
+            if value[:1] == "-":
+                return None
+        args[flag.lstrip("-")] = value
+    try:
+        for flag, kw in arguments:
+            key = flag.lstrip("-")
+            if args[key] is None:
+                if flag[0] != "-" or kw.get("required"):
+                    return None
+            elif "type" in kw:
+                args[key] = kw["type"](args[key])
+    except ValueError:
+        return None
+    return types.SimpleNamespace(**args)
 
 
 def parse_args(argv):
     """The handler, formats and namespace of a command line.  Its first
     word names a row of COMMANDS or, for heis and algebra, a table whose
-    row the second word names; the row's parser, "geomlim <words>", reads
-    the rest into a namespace with cmd the first word and op the last.
-    A missing or unknown word goes to a parser whose one positional
-    argument lists the choices: it prints the help or refuses the line."""
+    row the second word names; _read_plain or else the row's parser reads
+    the rest into a namespace with cmd the first word and op the last.  An
+    option value "--", which argparse before Python 3.13 reads as [], is
+    refused.  A missing or unknown word goes to the parser of the table,
+    which prints the help or refuses the line."""
     row, words = COMMANDS, []
     while isinstance(row, dict):
         rest = argv[len(words):]
         if not rest or rest[0] not in row:
-            menu = _Parser(prog=" ".join(["geomlim", *words]))
-            menu.add_argument("operation", choices=list(row),
-                              nargs=argparse.PARSER)
-            menu.parse_args(rest)
+            _parser(tuple(words)).parse_args(rest)
             # an argparse that drops a leading "--" may accept the rest
             raise InvalidInput("the operation must come second")
         words.append(rest[0])
         row = row[rest[0]]
-    args = _parser(tuple(words)).parse_args(argv[len(words):])
+    rest = argv[len(words):]
+    args = _read_plain(COMMON_ARGUMENTS + row[2], rest)
+    if args is None:
+        args = _parser(tuple(words)).parse_args(rest)
+        if any(value in ("--", []) for value in vars(args).values()):
+            raise InvalidInput('an option value cannot be "--"')
     args.cmd, args.op = words[0], words[-1]
     return *row[:2], args
 

@@ -183,6 +183,10 @@ class OrderedPartition:
 
     def __init__(self, blocks, block_points):
         self.blocks = [tuple(sorted(b)) for b in blocks]
+        if sum(map(len, self.blocks)) < 2:
+            raise ValueError("need at least two indices")
+        if not all(self.blocks):
+            raise ValueError("blocks must be nonempty")
         self.block_points = []
         for b, p in zip(self.blocks, block_points, strict=True):
             p = [float(x) for x in p]

@@ -17,6 +17,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from geomlim import cli
 
+import argv_lines
+
 
 def run(capsys, *argv):
     code = cli.run(list(argv))
@@ -254,11 +256,18 @@ INVALID_ARGVS = [
     ["cells", "1"],
     ["regen", "--input", JOB],
     ["regen", "--input", dict(JOB, kind=5, t_grid=[10])],
+    # an option value "--", which argparse before Python 3.13 reads as []
+    # (dropping the conjugator, writing to stdout, handing idempotents a
+    # list) and Python 3.13 as "--" (a file named "--")
+    ["limit", "--form", "1,1,1", "--conj=--"],
+    ["poset", "1", "3", "--out=--"],
+    ["algebra", "idempotents", "--delta=--"],
 ]
 
 
 @pytest.mark.parametrize("argv", INVALID_ARGVS)
-def test_invalid_input_exits_2(capsys, tmp_path, argv):
+def test_invalid_input_exits_2(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)  # where an --out that is taken would write
     if isinstance(argv[-1], dict):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(argv[-1]))
@@ -1032,25 +1041,63 @@ def test_run_fuzz(tmp_path):
     (["heis", "-h"], 0),
 ])
 def test_run_builds_one_parser(capsys, monkeypatch, argv, code):
-    # the first line of a subcommand or operation builds its parser, and
-    # the same line again builds none; a help page of the subcommands or
-    # operations builds the one parser listing them each time
+    # a plain line builds no parser; the first help page or refused line
+    # of a subcommand, operation or table of them builds its parser, and
+    # the same line again builds none
     progs = []
-    init = cli._Parser.__init__
+    init = argparse.ArgumentParser.__init__
 
     def spy(self, *args, **kwargs):
         init(self, *args, **kwargs)
         progs.append(self.prog)
 
-    monkeypatch.setattr(cli._Parser, "__init__", spy)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
     cli._parser.cache_clear()
     assert run(capsys, *argv)[0] == code
     assert run(capsys, *argv)[0] == code
-    prog = {"-h": "geomlim", "--help": "geomlim",
-            "algebra": "geomlim algebra mul"}.get(argv[0])
-    prog = prog or "geomlim " + argv[0]
-    menu = prog in ("geomlim", "geomlim heis")
-    assert progs == [prog] * (2 if menu else 1)
+    prog = {"-h": "geomlim", "--help": "geomlim", "poset": None,
+            "algebra": None}.get(argv[0], "geomlim " + argv[0])
+    assert progs == ([prog] if prog else [])
+
+
+def test_plain_reader_reads_as_argparse():
+    # lines of every row, with abbreviations, "=" forms, negative and empty
+    # values, "-", "--", repeated options, -h and "_" or non-ASCII digits;
+    # argv_lines.check asserts the reader's namespace where it gives one
+    taken = set()
+
+    @settings(max_examples=600, deadline=None, derandomize=True,
+              database=None)
+    @given(st.sampled_from(argv_lines.ROWS), st.randoms(use_true_random=False))
+    def check(row, rng):
+        if argv_lines.check(row[0], argv_lines.random_line(rng, row[1])):
+            taken.add(row[0])
+
+    check()
+    # the draws reach a plain line of every row
+    assert taken == {words for words, _ in argv_lines.ROWS}
+
+
+# The exit code of each line, and whether argparse is loaded after it.
+ARGPARSE_PROBE = """
+import contextlib, io, json, sys
+import geomlim.cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        code = geomlim.cli.run(argv)
+    print(code, "argparse" in sys.modules)
+"""
+
+
+def test_plain_lines_do_not_import_argparse():
+    plain = [["limit", "--form", "1,1,-1", "--conj", "t^2,t,1", "--reverse"],
+             ["poset", "1", "3", "--format=dot"], ["cells", "3", "--poset"],
+             ["algebra", "idempotents", "--delta", "1"]]
+    assert _python(ARGPARSE_PROBE, json.dumps([*plain, ["-h"]])) == (
+        "0 False\n" * 4 + "0 True\n")
+    assert _python(ARGPARSE_PROBE, json.dumps([plain[0], ["cells", "x"]])) == (
+        "0 False\n2 True\n")
 
 
 def test_cached_parsers_share_no_state_across_calls(capsys, monkeypatch):

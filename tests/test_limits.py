@@ -354,7 +354,10 @@ def test_ordered_partition_refuses_non_finite_points(x):
 
 @pytest.mark.parametrize("blocks, points, error", [
     ([[0, 1]], [[1.0]], "point size"), ([[0, 1]], [[1.0, 0.0]], "nonzero"),
-    ([[0, 2]], [[1.0, 1.0]], "partition")])
+    ([[0, 2]], [[1.0, 1.0]], "partition"),
+    # encode_partition has no path of fewer than two entries to build
+    ([[0]], [[1.0]], "^need at least two indices$"),
+    ([[], [0, 1]], [[], [1.0, 1.0]], "^blocks must be nonempty$")])
 def test_ordered_partition_refuses_malformed_points(blocks, points, error):
     with pytest.raises(ValueError, match=error):
         OrderedPartition(blocks, points)
